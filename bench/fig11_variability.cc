@@ -56,12 +56,12 @@ main(int argc, char **argv)
         "(paper: up to ~30%) from the median due to capture, "
         "scheduling and interrupt-timing noise");
 
-    bench::RunSpec spec;
-    spec.model = "mobilenet_v1";
+    verify::Scenario spec = bench::benchScenario();
+    spec.modelId = "mobilenet_v1";
     spec.dtype = tensor::DType::Float32;
     spec.framework = app::FrameworkKind::TfliteCpu;
 
-    std::vector<bench::RunSpec> specs(2, spec);
+    std::vector<verify::Scenario> specs(2, spec);
     specs[0].mode = app::HarnessMode::CliBenchmark;
     specs[1].mode = app::HarnessMode::AndroidApp;
     const auto reports = bench::runSpecs(specs);

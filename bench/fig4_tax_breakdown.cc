@@ -52,11 +52,11 @@ main(int argc, char **argv)
 
     const app::HarnessMode modes[] = {app::HarnessMode::CliBenchmark,
                                       app::HarnessMode::AndroidApp};
-    std::vector<bench::RunSpec> specs;
+    std::vector<verify::Scenario> specs;
     for (const auto &e : entries) {
         for (auto mode : modes) {
-            bench::RunSpec spec;
-            spec.model = e.model;
+            verify::Scenario spec = bench::benchScenario();
+            spec.modelId = e.model;
             spec.dtype = e.dtype;
             spec.mode = mode;
             specs.push_back(spec);

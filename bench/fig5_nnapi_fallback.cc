@@ -39,10 +39,10 @@ main(int argc, char **argv)
     };
 
     // (The table is assembled after the sweep, once CPU-1T is known.)
-    std::vector<bench::RunSpec> specs;
+    std::vector<verify::Scenario> specs;
     for (const auto &t : targets) {
-        bench::RunSpec spec;
-        spec.model = "efficientnet_lite0";
+        verify::Scenario spec = bench::benchScenario();
+        spec.modelId = "efficientnet_lite0";
         spec.dtype = tensor::DType::UInt8;
         spec.framework = t.fw;
         spec.threads = t.threads;
@@ -67,14 +67,16 @@ main(int argc, char **argv)
     }
     final_table.render(std::cout);
 
-    // The float model for contrast.
-    bench::RunSpec fspec;
-    fspec.model = "efficientnet_lite0";
+    // The float model for contrast: NNAPI, then CPU-4T.
+    verify::Scenario fspec = bench::benchScenario();
+    fspec.modelId = "efficientnet_lite0";
     fspec.dtype = tensor::DType::Float32;
     fspec.framework = app::FrameworkKind::TfliteNnapi;
-    const auto fp = bench::runSpec(fspec);
-    fspec.framework = app::FrameworkKind::TfliteCpu;
-    const auto fp_cpu = bench::runSpec(fspec);
+    std::vector<verify::Scenario> fspecs(2, fspec);
+    fspecs[1].framework = app::FrameworkKind::TfliteCpu;
+    const auto freports = bench::runSpecs(fspecs);
+    const auto &fp = freports[0];
+    const auto &fp_cpu = freports[1];
     std::printf("\nFloat contrast: NNAPI fp32 inference %.2f ms vs "
                 "CPU-4T fp32 %.2f ms (no fallback pathology).\n",
                 fp.stageMeanMs(Stage::Inference),

@@ -31,10 +31,10 @@ main(int argc, char **argv)
 
     stats::Table table({"Model", "CPU-4T (ms)", "NNAPI-DSP (ms)",
                         "SNPE-DSP (ms)", "NNAPI vs CPU", "best"});
-    std::vector<bench::RunSpec> specs;
+    std::vector<verify::Scenario> specs;
     for (const char *model : models_under_test) {
-        bench::RunSpec spec;
-        spec.model = model;
+        verify::Scenario spec = bench::benchScenario();
+        spec.modelId = model;
         spec.dtype = tensor::DType::UInt8;
         spec.runs = 200;
         for (auto fw : {app::FrameworkKind::TfliteCpu,

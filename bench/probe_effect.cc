@@ -183,20 +183,22 @@ struct ScenarioProbe
 ScenarioProbe
 benchScenarioProbe()
 {
-    bench::RunSpec spec;
-    spec.model = "mobilenet_v1";
-    spec.dtype = tensor::DType::UInt8;
-    spec.framework = app::FrameworkKind::TfliteHexagon;
-    spec.mode = app::HarnessMode::AndroidApp;
-    spec.runs = 300;
-    const auto resolved = bench::resolveSpec(spec);
+    // Its own SocSystem, not verify::runScenario: the tracer must be
+    // switched off before the run.
+    constexpr int kProbeRuns = 300;
+    const soc::SocConfig platform = soc::platformByName("Snapdragon 845");
+    app::PipelineConfig cfg;
+    cfg.model = models::findModel("mobilenet_v1");
+    cfg.dtype = tensor::DType::UInt8;
+    cfg.framework = app::FrameworkKind::TfliteHexagon;
+    cfg.mode = app::HarnessMode::AndroidApp;
 
     auto run_once = [&](bool tracing) {
-        soc::SocSystem sys(resolved.platform, resolved.spec->seed);
+        soc::SocSystem sys(platform, /*seed=*/7);
         sys.tracer().setEnabled(tracing);
-        app::Application application(sys, resolved.cfg);
+        app::Application application(sys, cfg);
         core::TaxReport report;
-        application.scheduleRuns(resolved.spec->runs, report);
+        application.scheduleRuns(kProbeRuns, report);
         const auto t0 = Clock::now();
         sys.run();
         const double s = secondsSince(t0);
@@ -288,10 +290,10 @@ main(int argc, char **argv)
     stats::Table table({"Backend", "inference off (ms)",
                         "inference on (ms)", "slowdown",
                         "pre-proc off (ms)", "pre-proc on (ms)"});
-    std::vector<bench::RunSpec> specs;
+    std::vector<verify::Scenario> specs;
     for (const auto &c : cases) {
-        bench::RunSpec spec;
-        spec.model = "mobilenet_v1";
+        verify::Scenario spec = bench::benchScenario();
+        spec.modelId = "mobilenet_v1";
         spec.dtype = c.dtype;
         spec.framework = c.fw;
         spec.mode = app::HarnessMode::AndroidApp;

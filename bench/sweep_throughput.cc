@@ -67,7 +67,7 @@ struct Combo
     app::FrameworkKind fw;
 };
 
-std::vector<bench::RunSpec>
+std::vector<verify::Scenario>
 buildMatrix(int scenarios, int runs)
 {
     static const Combo kCombos[] = {
@@ -100,19 +100,19 @@ buildMatrix(int scenarios, int runs)
         "Snapdragon 865",
     };
 
-    std::vector<bench::RunSpec> specs;
+    std::vector<verify::Scenario> specs;
     specs.reserve(static_cast<std::size_t>(scenarios));
     for (int i = 0; i < scenarios; ++i) {
         const Combo &c = kCombos[static_cast<std::size_t>(i) %
                                  std::size(kCombos)];
-        bench::RunSpec spec;
-        spec.model = c.model;
+        verify::Scenario spec = bench::benchScenario();
+        spec.modelId = c.model;
         spec.dtype = c.dtype;
         spec.framework = c.fw;
         spec.mode = kModes[static_cast<std::size_t>(i / 2) %
                            std::size(kModes)];
-        spec.soc = kSocs[static_cast<std::size_t>(i / 3) %
-                         std::size(kSocs)];
+        spec.socName = kSocs[static_cast<std::size_t>(i / 3) %
+                             std::size(kSocs)];
         // Every fourth row uses streaming capture; where that lands on
         // a CliBenchmark row it exercises the fork-stream snapshot
         // path (warm-up memoized despite the post-warm-up divergence).
@@ -124,22 +124,31 @@ buildMatrix(int scenarios, int runs)
     return specs;
 }
 
+/** One matrix scenario, reading only what the passes below use. */
+verify::ScenarioResult
+runOne(const verify::Scenario &s, sim::EngineMode engine)
+{
+    return verify::runScenario(s, engine, verify::Outputs::Summary);
+}
+
 /** Order-independent fingerprint that every pass must reproduce. */
 double
-checksum(const std::vector<core::TaxReport> &reports)
+checksum(const std::vector<verify::ScenarioResult> &results)
 {
     double sum = 0.0;
-    for (const auto &r : reports)
-        sum += r.endToEndMeanMs();
+    for (const auto &r : results)
+        sum += r.report.endToEndMeanMs();
     return sum;
 }
 
-/** One scenario's report plus its executed-event count. */
-struct CountedReport
+std::uint64_t
+eventsOf(const std::vector<verify::ScenarioResult> &results)
 {
-    core::TaxReport report;
     std::uint64_t events = 0;
-};
+    for (const auto &r : results)
+        events += r.eventsExecuted;
+    return events;
+}
 
 /**
  * Pull a named number out of a baseline BENCH_sweep.json. The files
@@ -163,17 +172,15 @@ baselineNumber(const std::string &json, const char *key)
 sweep::ScenarioFn
 benchScenarioFn(int scenarios, int runs)
 {
-    auto specs = std::make_shared<std::vector<bench::RunSpec>>(
+    auto specs = std::make_shared<std::vector<verify::Scenario>>(
         buildMatrix(scenarios, runs));
     return [specs](int index) {
-        const bench::ResolvedSpec r =
-            bench::resolveSpec((*specs)[static_cast<std::size_t>(index)]);
-        bench::RunMetrics m;
-        const core::TaxReport report =
-            bench::runResolved(r, sim::EngineMode::Fast, &m);
+        const verify::ScenarioResult r =
+            runOne((*specs)[static_cast<std::size_t>(index)],
+                   sim::EngineMode::Fast);
         sweep::ScenarioOutcome o;
-        o.e2eMeanMs = report.endToEndMeanMs();
-        o.events = m.events;
+        o.e2eMeanMs = r.report.endToEndMeanMs();
+        o.events = r.eventsExecuted;
         return o;
     };
 }
@@ -191,26 +198,14 @@ benchSpecResolver()
         std::string corpus;
         int scenarios = 0;
         int runs = 0;
-        std::size_t pos = 0;
-        while (pos < spec.size()) {
-            while (pos < spec.size() && spec[pos] == ' ')
-                ++pos;
-            std::size_t end = spec.find(' ', pos);
-            if (end == std::string::npos)
-                end = spec.size();
-            const std::string tok = spec.substr(pos, end - pos);
-            pos = end;
-            const std::size_t eq = tok.find('=');
-            if (eq == std::string::npos)
-                continue;
-            const std::string key = tok.substr(0, eq);
-            const std::string val = tok.substr(eq + 1);
+        for (const auto &[key, val] : sweep::splitSpec(spec)) {
             if (key == "corpus")
                 corpus = val;
-            else if (key == "scenarios")
-                scenarios = std::atoi(val.c_str());
-            else if (key == "runs")
-                runs = std::atoi(val.c_str());
+            else if ((key == "scenarios" &&
+                      !sweep::parseSpecNumber(key, val, scenarios, error)) ||
+                     (key == "runs" &&
+                      !sweep::parseSpecNumber(key, val, runs, error)))
+                return {};
             // chunk/engine and unknown keys: coordinator-side concerns.
         }
         if (corpus != "bench") {
@@ -323,41 +318,32 @@ main(int argc, char **argv)
     jobs = sweep::effectiveJobs(jobs);
 
     const auto specs = buildMatrix(scenarios, runs);
-    std::vector<bench::ResolvedSpec> resolved;
-    resolved.reserve(specs.size());
-    for (const auto &s : specs)
-        resolved.push_back(bench::resolveSpec(s));
 
     // Warm the process-wide graph cache outside the timed region so
     // both passes see the same steady-state cost per scenario.
-    for (const auto &r : resolved)
-        (void)models::cachedGraph(*r.cfg.model, r.cfg.dtype);
+    for (const auto &s : specs)
+        (void)models::cachedGraph(*models::findModel(s.modelId), s.dtype);
 
     std::printf("sweep_throughput: %d scenarios x %d runs, --jobs %d\n",
                 scenarios, runs, jobs);
 
     // --- serial pass, Fast engine (also collects per-scenario wall
-    // times, the events/sec denominator, setup time and the front-
-    // cache hit counter) ---------------------------------------------
+    // times, the events/sec denominator and the front-cache hit
+    // counter) --------------------------------------------------------
     sweep::snapshotCacheResetStats();
     std::vector<double> scenario_ms(specs.size());
     const auto serial_start = Clock::now();
-    std::vector<core::TaxReport> serial_reports;
-    serial_reports.reserve(specs.size());
-    std::uint64_t total_events = 0;
+    std::vector<verify::ScenarioResult> serial_results;
+    serial_results.reserve(specs.size());
     std::uint64_t front_cache_hits = 0;
-    double setup_s = 0.0;
-    for (std::size_t i = 0; i < resolved.size(); ++i) {
+    for (std::size_t i = 0; i < specs.size(); ++i) {
         const auto t0 = Clock::now();
-        bench::RunMetrics m;
-        serial_reports.push_back(bench::runResolved(
-            resolved[i], sim::EngineMode::Fast, &m));
+        serial_results.push_back(runOne(specs[i], sim::EngineMode::Fast));
         scenario_ms[i] = secondsSince(t0) * 1e3;
-        total_events += m.events;
-        front_cache_hits += m.frontCacheHits;
-        setup_s += m.setupSeconds;
+        front_cache_hits += serial_results.back().frontCacheHits;
     }
     const double serial_s = secondsSince(serial_start);
+    const std::uint64_t total_events = eventsOf(serial_results);
 
     // The timed parallel passes repeat kTimedReps times and keep the
     // best wall time: the whole matrix finishes in fractions of a
@@ -365,21 +351,26 @@ main(int argc, char **argv)
     // and the gate regresses on the fast/reference *ratio*, which
     // squares that noise. Min-of-N is the usual fix.
     constexpr int kTimedReps = 3;
+    sweep::SweepRunner runner(jobs);
+    auto timed_pass = [&](sim::EngineMode engine, double &best_s) {
+        std::vector<verify::ScenarioResult> first;
+        best_s = std::numeric_limits<double>::infinity();
+        for (int rep = 0; rep < kTimedReps; ++rep) {
+            const auto start = Clock::now();
+            auto results = runner.map<verify::ScenarioResult>(
+                specs.size(),
+                [&](std::size_t i) { return runOne(specs[i], engine); });
+            best_s = std::min(best_s, secondsSince(start));
+            if (rep == 0)
+                first = std::move(results);
+        }
+        return first;
+    };
 
     // --- parallel pass, Fast engine ---------------------------------
-    sweep::SweepRunner runner(jobs);
-    std::vector<core::TaxReport> parallel_reports;
-    double parallel_s = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < kTimedReps; ++rep) {
-        const auto start = Clock::now();
-        auto reports = runner.map<core::TaxReport>(
-            resolved.size(), [&](std::size_t i) {
-                return bench::runResolved(resolved[i]);
-            });
-        parallel_s = std::min(parallel_s, secondsSince(start));
-        if (rep == 0)
-            parallel_reports = std::move(reports);
-    }
+    double parallel_s = 0.0;
+    const auto parallel_results =
+        timed_pass(sim::EngineMode::Fast, parallel_s);
 
     // --- parallel pass, Reference engine ----------------------------
     // Same matrix on the same pool with the pre-fast-path engine: the
@@ -387,36 +378,15 @@ main(int argc, char **argv)
     // gate regresses against, and the checksum + event-count match is
     // the cheap always-on face of the differential contract (the
     // byte-exact version lives in tests/test_differential.cc).
-    std::vector<CountedReport> reference_results;
-    double reference_s = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < kTimedReps; ++rep) {
-        const auto start = Clock::now();
-        auto results = runner.map<CountedReport>(
-            resolved.size(), [&](std::size_t i) {
-                CountedReport r;
-                r.report = bench::runResolved(
-                    resolved[i], sim::EngineMode::Reference, &r.events);
-                return r;
-            });
-        reference_s = std::min(reference_s, secondsSince(start));
-        if (rep == 0)
-            reference_results = std::move(results);
-    }
+    double reference_s = 0.0;
+    const auto reference_results =
+        timed_pass(sim::EngineMode::Reference, reference_s);
 
-    std::vector<core::TaxReport> reference_reports;
-    reference_reports.reserve(reference_results.size());
-    std::uint64_t reference_events = 0;
-    for (const auto &r : reference_results) {
-        reference_reports.push_back(r.report);
-        reference_events += r.events;
-    }
-
-    const double serial_sum = checksum(serial_reports);
-    const double parallel_sum = checksum(parallel_reports);
-    const double reference_sum = checksum(reference_reports);
-    const bool checksum_match = serial_sum == parallel_sum;
-    const bool engine_match = serial_sum == reference_sum &&
-                              total_events == reference_events;
+    const double serial_sum = checksum(serial_results);
+    const bool checksum_match = serial_sum == checksum(parallel_results);
+    const bool engine_match =
+        serial_sum == checksum(reference_results) &&
+        total_events == eventsOf(reference_results);
 
     std::sort(scenario_ms.begin(), scenario_ms.end());
     const double p50 = scenario_ms[scenario_ms.size() / 2];
@@ -443,8 +413,6 @@ main(int argc, char **argv)
                 "%.2fx)\n",
                 reference_s, events_per_sec(reference_s),
                 engine_speedup);
-    const double setup_fraction =
-        serial_s > 0.0 ? setup_s / serial_s : 0.0;
     const sweep::SnapshotCacheStats cache_stats =
         sweep::snapshotCacheStatsNow();
 
@@ -528,10 +496,8 @@ main(int argc, char **argv)
                 "fast/reference engines %s\n",
                 checksum_match ? "match" : "MISMATCH",
                 engine_match ? "match" : "MISMATCH");
-    std::printf("  setup: %.1f%% of serial wall; front-cache hits "
-                "%llu; warm-up cache %llu hits / %llu misses / "
-                "%llu stores\n",
-                setup_fraction * 1e2,
+    std::printf("  front-cache hits %llu; warm-up cache %llu hits / "
+                "%llu misses / %llu stores\n",
                 static_cast<unsigned long long>(front_cache_hits),
                 static_cast<unsigned long long>(cache_stats.hits),
                 static_cast<unsigned long long>(cache_stats.misses),
@@ -572,22 +538,6 @@ main(int argc, char **argv)
             gate_ok = false;
             std::printf("  gate: warm-up snapshot cache recorded zero "
                         "hits -> REGRESSION\n");
-        }
-
-        // Setup-time regression (arena-backed construction): only
-        // enforced once the baseline records the metric. The ceiling
-        // is loose (2x + 2pp) because the fraction divides two small
-        // wall times and inherits both machines' noise.
-        const double setup_base =
-            baselineNumber(ss.str(), "setup_time_fraction");
-        if (setup_base >= 0.0) {
-            const double ceiling = setup_base * 2.0 + 0.02;
-            const bool setup_ok = setup_fraction <= ceiling;
-            std::printf("  gate: setup fraction %.3f vs baseline %.3f "
-                        "(ceiling %.3f) -> %s\n",
-                        setup_fraction, setup_base, ceiling,
-                        setup_ok ? "ok" : "REGRESSION");
-            gate_ok = gate_ok && setup_ok;
         }
 
         // Campaign scaling: process sharding must actually buy
@@ -641,8 +591,6 @@ main(int argc, char **argv)
     out << "    \"parallel\": " << buf << "\n  },\n";
     std::snprintf(buf, sizeof(buf), "%.3f", p50);
     out << "  \"p50_scenario_ms\": " << buf << ",\n";
-    std::snprintf(buf, sizeof(buf), "%.6f", setup_fraction);
-    out << "  \"setup_time_fraction\": " << buf << ",\n";
     out << "  \"front_cache_hits\": " << front_cache_hits << ",\n";
     // Warm-up snapshot cache counters across all passes (reset at the
     // start of the serial pass): the serial pass stores, the timed

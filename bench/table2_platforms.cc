@@ -24,17 +24,17 @@ main(int argc, char **argv)
                         "MobileNet-fp32 CPU-4T (ms)"});
 
     const auto platforms = soc::allPlatforms();
-    std::vector<bench::RunSpec> specs;
+    std::vector<verify::Scenario> specs;
     for (const auto &platform : platforms) {
-        bench::RunSpec dsp_spec;
-        dsp_spec.model = "mobilenet_v1";
+        verify::Scenario dsp_spec = bench::benchScenario();
+        dsp_spec.modelId = "mobilenet_v1";
         dsp_spec.dtype = tensor::DType::UInt8;
         dsp_spec.framework = app::FrameworkKind::SnpeDsp;
-        dsp_spec.soc = platform.socName;
+        dsp_spec.socName = platform.socName;
         dsp_spec.runs = 100;
         specs.push_back(dsp_spec);
 
-        bench::RunSpec cpu_spec = dsp_spec;
+        verify::Scenario cpu_spec = dsp_spec;
         cpu_spec.dtype = tensor::DType::Float32;
         cpu_spec.framework = app::FrameworkKind::TfliteCpu;
         specs.push_back(cpu_spec);

@@ -27,7 +27,59 @@ constexpr int kMaxRespawns = 8;
 
 using Clock = std::chrono::steady_clock;
 
+template <typename T>
+bool
+parseWholeSpecNumber(bool (*parse)(const char *&, T &),
+                     const std::string &key, const std::string &value,
+                     T &out, std::string *error)
+{
+    const char *p = value.c_str();
+    T parsed{};
+    if (parse(p, parsed) && *p == '\0') {
+        out = parsed;
+        return true;
+    }
+    *error = "malformed number in campaign spec: " + key + "=" + value;
+    return false;
+}
+
 } // namespace
+
+// ---------------------------------------------------------------------
+// Spec lines
+// ---------------------------------------------------------------------
+
+std::vector<std::pair<std::string, std::string>>
+splitSpec(std::string_view spec)
+{
+    std::vector<std::pair<std::string, std::string>> fields;
+    std::size_t pos = 0;
+    while (pos < spec.size()) {
+        std::size_t end = spec.find(' ', pos);
+        if (end == std::string_view::npos)
+            end = spec.size();
+        const std::string_view tok = spec.substr(pos, end - pos);
+        pos = end + 1;
+        const std::size_t eq = tok.find('=');
+        if (eq != std::string_view::npos)
+            fields.emplace_back(tok.substr(0, eq), tok.substr(eq + 1));
+    }
+    return fields;
+}
+
+bool
+parseSpecNumber(const std::string &key, const std::string &value,
+                std::uint64_t &out, std::string *error)
+{
+    return parseWholeSpecNumber(&stats::parseU64, key, value, out, error);
+}
+
+bool
+parseSpecNumber(const std::string &key, const std::string &value,
+                int &out, std::string *error)
+{
+    return parseWholeSpecNumber(&stats::parseInt, key, value, out, error);
+}
 
 // ---------------------------------------------------------------------
 // Aggregate
@@ -113,7 +165,6 @@ struct WorkerProc
     std::unique_ptr<WorkerChannel> ch; ///< null once reaped
     std::string buf;                   ///< undecoded protocol text
     bool sawBanner = false;
-    int version = 1;
     bool awaitingSpec = false;
     bool quitSent = false;
     int chunkId = -1; ///< assigned chunk; -1 when idle
@@ -417,28 +468,15 @@ bool
 Coordinator::handleLine(WorkerProc &w, const std::string &line)
 {
     if (!w.sawBanner) {
-        if (line == kWorkerBannerV2)
-            w.version = 2;
-        else if (line == kWorkerBannerV1)
-            w.version = 1;
-        else
+        if (line != kWorkerBannerV2)
             return fail("worker did not identify itself: \"" + line +
                         "\"");
         w.sawBanner = true;
         if (!cfg.corpusSpec.empty()) {
-            if (w.version >= 2) {
-                w.ch->sendLine("spec " + cfg.corpusSpec);
-                w.awaitingSpec = true;
-                w.lastActivity = Clock::now();
-                return true;
-            }
-            // A v1 worker over pipes has its corpus baked into argv —
-            // the spec is redundant there. A *remote* v1 worker has no
-            // way to learn the corpus at all.
-            if (!cfg.workers.empty())
-                return fail(
-                    "remote worker speaks protocol v1; worker-side "
-                    "corpus addressing requires v2");
+            w.ch->sendLine("spec " + cfg.corpusSpec);
+            w.awaitingSpec = true;
+            w.lastActivity = Clock::now();
+            return true;
         }
         assignNext(w);
         return true;

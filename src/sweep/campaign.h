@@ -12,19 +12,20 @@
  * Topology and protocol (line-oriented text; newline-delimited over
  * pipes, length-delimited frames over TCP — see sweep/transport.h):
  *
- *   coordinator -> worker:  "spec <identity>" (v2) | "range <b> <e>"
- *                           | "quit"
- *   worker -> coordinator:  "aitax-sweep-worker-v2 ready"  (v1 accepted)
- *                           "spec-ok" | "spec-err <why>"   (v2)
- *                           "hb"                           (v2 liveness)
+ *   coordinator -> worker:  "spec <identity>" | "range <b> <e>" | "quit"
+ *   worker -> coordinator:  "aitax-sweep-worker-v2 ready"
+ *                           "spec-ok" | "spec-err <why>"
+ *                           "hb"                           (liveness)
  *                           "r <index> <e2e_mean_ms> <events>"
  *                           "done <begin> <end> <cache h m s d>"
  *
- * v2 workers address their corpus *by spec*: the coordinator sends the
- * campaign identity line and the worker resolves it to a ScenarioFn
- * locally (sweep/serve.h SpecResolver), so remote workers never
- * receive scenario payloads and one daemon serves many campaigns. v1
- * workers (argv-bound corpora) remain fully supported over pipes.
+ * This is protocol v2, the only one: every worker is built from this
+ * tree. Workers address their corpus *by spec*: the coordinator sends
+ * the campaign identity line and the worker resolves it to a
+ * ScenarioFn locally (SpecResolver), so remote workers never receive
+ * scenario payloads and one daemon serves many campaigns. A campaign
+ * without a spec runs on the corpus bound in the worker's argv (pipe
+ * transport only).
  * Every number on the wire is formatted and parsed locale-independently
  * (stats/numfmt.h) — a comma-decimal LC_NUMERIC cannot corrupt it.
  *
@@ -54,6 +55,8 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "stats/streaming_distribution.h"
@@ -78,15 +81,32 @@ struct ScenarioOutcome
 using ScenarioFn = std::function<ScenarioOutcome(int index)>;
 
 /**
- * Worker-side corpus addressing (protocol v2): resolve a campaign
- * spec line (the identity string) into a ScenarioFn, or return an
- * empty function with @p error set to refuse it ("spec-err" on the
- * wire). Must be deterministic: the same spec resolves to the same
+ * Worker-side corpus addressing: resolve a campaign spec line (the
+ * identity string) into a ScenarioFn, or return an empty function
+ * with @p error set to refuse it ("spec-err" on the wire). Must be deterministic: the same spec resolves to the same
  * corpus on every worker, or byte-identity across transports breaks.
  */
 using SpecResolver =
     std::function<ScenarioFn(const std::string &spec,
                              std::string *error)>;
+
+/**
+ * A campaign spec's space-separated key=value tokens, in order. Tokens
+ * without '=' are dropped; resolvers ignore keys they do not serve.
+ */
+std::vector<std::pair<std::string, std::string>>
+splitSpec(std::string_view spec);
+
+/**
+ * Parse the spec value @p value of @p key as a base-10 number
+ * (stats/numfmt.h) that consumes the whole value, so "12abc", "",
+ * out-of-range values and (unsigned) "-1" are refused with @p error
+ * naming the key. A resolver answers such a spec with "spec-err".
+ */
+bool parseSpecNumber(const std::string &key, const std::string &value,
+                     std::uint64_t &out, std::string *error);
+bool parseSpecNumber(const std::string &key, const std::string &value,
+                     int &out, std::string *error);
 
 struct WorkerOptions
 {
@@ -98,8 +118,6 @@ struct WorkerOptions
      * losing the in-flight chunk. < 0 disables.
      */
     int exitAfterRanges = -1;
-    /** Wire protocol to speak: 2 (default) or 1 (strict fallback). */
-    int protocolVersion = 2;
 };
 
 /**
@@ -158,12 +176,11 @@ struct CampaignConfig
      * Remote worker endpoints ("host:port"), one session per entry
      * (repeat an endpoint for several sessions against one daemon).
      * Non-empty selects the TCP transport and overrides shards /
-     * workerCmd. Remote workers must speak protocol v2 and resolve
-     * `corpusSpec` themselves.
+     * workerCmd. Remote workers resolve `corpusSpec` themselves.
      */
     std::vector<std::string> workers;
     /**
-     * Campaign spec sent to v2 workers ("spec <corpusSpec>") before
+     * Campaign spec sent to workers ("spec <corpusSpec>") before
      * the first range; conventionally the identity string. Empty
      * skips the handshake (argv-bound corpora, pipe transport only).
      */

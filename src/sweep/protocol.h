@@ -15,11 +15,7 @@
 
 namespace aitax::sweep {
 
-/** v1 banner: PR 8's original protocol (no spec/hb support). */
-inline constexpr const char *kWorkerBannerV1 =
-    "aitax-sweep-worker-v1 ready";
-
-/** v2 banner: adds "spec" corpus addressing and "hb" liveness. */
+/** Worker banner of protocol v2 ("spec" addressing, "hb" liveness). */
 inline constexpr const char *kWorkerBannerV2 =
     "aitax-sweep-worker-v2 ready";
 

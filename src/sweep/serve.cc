@@ -134,8 +134,7 @@ int
 serveSession(LineIO &io, const ServeOptions &opts, ScenarioFn fn,
              const SpecResolver &resolver)
 {
-    const bool v2 = opts.protocolVersion >= 2;
-    io.writeLine(v2 ? kWorkerBannerV2 : kWorkerBannerV1);
+    io.writeLine(kWorkerBannerV2);
     io.flush();
 
     SweepRunner pool(opts.jobs);
@@ -192,12 +191,10 @@ serveSession(LineIO &io, const ServeOptions &opts, ScenarioFn fn,
                          "(spec required)\n");
             return 2;
         }
-        // v2 liveness: acknowledge the range before running it, so the
+        // Liveness: acknowledge the range before running it, so the
         // coordinator's deadline distinguishes "working" from "hung".
-        if (v2) {
-            io.writeLine("hb");
-            io.flush();
-        }
+        io.writeLine("hb");
+        io.flush();
 
         // Stream results in sub-slices (flushed each time): byte-wise
         // identical to emitting the whole chunk at once, but a slow
@@ -251,7 +248,6 @@ runWorker(const WorkerOptions &opts, const ScenarioFn &fn,
     ServeOptions so;
     so.jobs = opts.jobs;
     so.exitAfterRanges = opts.exitAfterRanges;
-    so.protocolVersion = opts.protocolVersion;
     return serveSession(io, so, fn, resolver);
 }
 

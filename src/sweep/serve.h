@@ -3,11 +3,11 @@
  * Worker-side campaign protocol service: stdio sessions, socket
  * sessions, and the long-running `aitax serve` daemon.
  *
- * Protocol v2 (see campaign.h for the full grammar) adds to v1:
+ * Sessions speak protocol v2, the only one (see campaign.h for the
+ * full grammar):
  *
- *  - versioned banner: "aitax-sweep-worker-v2 ready". Coordinators
- *    accept v1 banners unchanged (fallback), but corpus addressing
- *    over a remote transport requires v2.
+ *  - banner: "aitax-sweep-worker-v2 ready"; coordinators refuse any
+ *    other first line.
  *  - worker-side corpus addressing: "spec <text>" binds the scenario
  *    corpus *by description* (the campaign identity line), answered
  *    with "spec-ok" or "spec-err <why>". Remote workers never receive
@@ -79,9 +79,6 @@ struct ServeOptions
     int jobs = 1;
     /** Crash injection (see WorkerOptions::exitAfterRanges). */
     int exitAfterRanges = -1;
-    /** 1 emits the strict v1 wire (no hb, no spec support in the
-     *  banner); 2 is the default. The v1 fallback tests use this. */
-    int protocolVersion = 2;
 };
 
 /**

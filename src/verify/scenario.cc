@@ -39,6 +39,10 @@ Scenario::label() const
         os << "_cpu" << cpuLoadProcesses;
     if (streaming)
         os << "_stream";
+    if (threads != 4)
+        os << "_t" << threads;
+    if (instrumentation)
+        os << "_instr";
     if (faults)
         os << "_flt";
     os << "_s" << seed;
@@ -60,6 +64,10 @@ Scenario::describe() const
        << ")";
     if (streaming)
         os << ", streaming";
+    if (threads != 4)
+        os << ", threads=" << threads;
+    if (instrumentation)
+        os << ", instrumented";
     if (faults)
         os << ", faults";
     os << ", seed=" << seed;
@@ -163,10 +171,12 @@ std::string
 snapshotKey(const Scenario &s)
 {
     std::ostringstream os;
-    os << "warmup-v2|soc=" << s.socName << "|model=" << s.modelId
+    os << "warmup-v3|soc=" << s.socName << "|model=" << s.modelId
        << "|dtype=" << tensor::dtypeName(s.dtype)
        << "|fw=" << app::frameworkName(s.framework)
        << "|mode=" << app::harnessModeName(s.mode)
+       << "|threads=" << s.threads
+       << "|instr=" << (s.instrumentation ? 1 : 0)
        << "|stream=" << (s.streaming ? 1 : 0)
        << "|dspload=" << s.dspLoadProcesses
        << "|cpuload=" << s.cpuLoadProcesses
@@ -191,6 +201,8 @@ pipelineConfigFor(const Scenario &s)
     cfg.dtype = s.dtype;
     cfg.framework = s.framework;
     cfg.mode = s.mode;
+    cfg.threads = s.threads;
+    cfg.instrumentationEnabled = s.instrumentation;
     cfg.streamingCapture = s.streaming;
     return cfg;
 }
@@ -222,18 +234,24 @@ buildLoops(sim::Arena &arena, soc::SocSystem &sys, const Scenario &s)
     return loops;
 }
 
-/** Everything after quiescence: witnesses, meters, the trace. */
+/** Everything after quiescence: meters, witnesses, the trace. */
 void
-collectResult(soc::SocSystem &sys, app::Application &application,
-              ScenarioResult &out)
+collectResult(soc::SocSystem &sys, const app::Application &application,
+              const std::vector<app::BackgroundInferenceLoop *> &loops,
+              Outputs outputs, ScenarioResult &out)
 {
-    out.rpcLog = application.rpcLog();
-    out.frameLog = application.frameLog();
     if (sys.faults() != nullptr)
         out.faultStats = sys.faults()->stats();
     out.energyMj = sys.energy().totalMj();
     out.thermalSpeedFactor = sys.thermal().speedFactor();
     out.eventsExecuted = sys.simulator().eventsExecuted();
+    out.frontCacheHits = sys.simulator().frontCacheHits();
+    for (const auto *loop : loops)
+        out.backgroundInferences += loop->completedInferences();
+    if (outputs == Outputs::Summary)
+        return;
+    out.rpcLog = application.rpcLog();
+    out.frameLog = application.frameLog();
     std::ostringstream trace;
     trace::writeChromeTrace(trace, sys.tracer());
     out.chromeTraceJson = trace.str();
@@ -257,26 +275,44 @@ snapshotUsable(const faults::FaultInjector *inj,
     return true;
 }
 
+} // namespace
+
 /**
- * Fast-engine path for snapshot-eligible scenarios: restore a cached
- * post-warm-up state when one exists and fits this run's fault plan,
- * otherwise execute the warm-up via the split schedule API and publish
- * the capture. Falls back to executing the warm-up (never to wrong
- * results) whenever capture or reuse is not possible. Background
- * loops are constructed before the warm-up (inert) and started after
- * it, exactly like the Reference CLI path, so a cache hit replays the
- * same post-warm-up schedule a cache-free run would produce.
+ * CLI-benchmark (snapshot-eligible) scenarios run the split schedule —
+ * warm-up, then background-loop start, then frames — on both engines,
+ * so Reference produces the exact event sequence a memoized Fast run
+ * replays: the byte-compare contract of the differential tier. Fast
+ * restores a cached post-warm-up state when one exists and fits this
+ * run's fault plan, otherwise it executes the warm-up and publishes
+ * the capture; it falls back to executing the warm-up (never to wrong
+ * results) whenever capture or reuse is not possible. App-mode
+ * scenarios keep the single-shot schedule: their interference
+ * interleaves with the warm-up by design.
  */
 ScenarioResult
-runScenarioMemoized(const Scenario &s, sim::Arena &arena)
+runScenario(const Scenario &s, sim::EngineMode engine, Outputs outputs)
 {
-    const std::string key = snapshotKey(s);
-    auto cached = std::static_pointer_cast<const soc::WarmupSnapshot>(
-        sweep::snapshotCacheLookup(key));
+    assert(scenarioValid(s));
+    // All run state lives in the thread's arena; the guard resets it
+    // (running registered finalizers in reverse creation order) after
+    // the result — which holds no pointers into the arena — is out.
+    sim::Arena &arena = scenarioArena();
+    sim::ArenaResetGuard guard(arena);
+
+    const bool split = classifySnapshotUse(s) == SnapshotUse::Eligible;
+    const bool memoize = split && engine == sim::EngineMode::Fast;
+    std::string key;
+    std::shared_ptr<const soc::WarmupSnapshot> cached;
+    if (memoize) {
+        key = snapshotKey(s);
+        cached = std::static_pointer_cast<const soc::WarmupSnapshot>(
+            sweep::snapshotCacheLookup(key));
+    }
 
     soc::SocSystem &sys = *arena.create<soc::SocSystem>(
-        soc::platformByName(s.socName), s.seed, sim::EngineMode::Fast,
-        &arena);
+        soc::platformByName(s.socName), s.seed, engine, &arena);
+    // Arm faults before any component forks the system RNG, so the
+    // fault schedule is a pure function of (platform, seed).
     if (s.faults)
         sys.armFaults(faults::FaultConfig::fuzzDefaults());
     // Seq watermark after fault arming, before any warm-up work: the
@@ -287,66 +323,24 @@ runScenarioMemoized(const Scenario &s, sim::Arena &arena)
     auto loops = buildLoops(arena, sys, s);
 
     ScenarioResult out;
-    if (cached && snapshotUsable(sys.faults(), *cached)) {
-        sys.restoreWarmup(*cached);
-        application.adoptRestoredWarmup();
-    } else {
-        application.scheduleWarmup(s.runs, out.report);
-        sys.simulator().runUntilCondition(
-            [&application] { return application.warmupComplete(); });
-        if (!cached) {
-            auto snap = std::make_shared<soc::WarmupSnapshot>();
-            if (sys.captureWarmup(*snap, seq_base))
-                sweep::snapshotCacheStore(key, std::move(snap));
-        }
-    }
-    for (auto *loop : loops)
-        loop->start(sys.simulator().now() + sim::secToNs(60.0));
-    application.scheduleFramesAfterWarmup(s.runs, out.report,
-                                          [&loops](sim::TimeNs) {
-                                              for (auto *loop : loops)
-                                                  loop->stop();
-                                          });
-    out.endTimeNs = sys.run();
-    collectResult(sys, application, out);
-    for (const auto *loop : loops)
-        out.backgroundInferences += loop->completedInferences();
-    return out;
-}
-
-/**
- * Engine-explicit path without memoization. CLI-benchmark scenarios
- * still run the split warm-up schedule (warm-up, then background-loop
- * start, then frames) so that the Reference engine produces the exact
- * event sequence the memoized Fast path replays — the byte-compare
- * contract of the differential tier. App-mode scenarios keep the
- * single-shot schedule: their interference interleaves with the
- * warm-up by design.
- */
-ScenarioResult
-runScenarioDirect(const Scenario &s, sim::EngineMode engine,
-                  sim::Arena &arena)
-{
-    soc::SocSystem &sys = *arena.create<soc::SocSystem>(
-        soc::platformByName(s.socName), s.seed, engine, &arena);
-    // Arm faults before any component forks the system RNG, so the
-    // fault schedule is a pure function of (platform, seed).
-    if (s.faults)
-        sys.armFaults(faults::FaultConfig::fuzzDefaults());
-
-    app::Application &application =
-        *arena.create<app::Application>(sys, pipelineConfigFor(s));
-    auto loops = buildLoops(arena, sys, s);
-
-    ScenarioResult out;
     auto stop_loops = [&loops](sim::TimeNs) {
         for (auto *loop : loops)
             loop->stop();
     };
-    if (s.mode == app::HarnessMode::CliBenchmark) {
-        application.scheduleWarmup(s.runs, out.report);
-        sys.simulator().runUntilCondition(
-            [&application] { return application.warmupComplete(); });
+    if (split) {
+        if (cached && snapshotUsable(sys.faults(), *cached)) {
+            sys.restoreWarmup(*cached);
+            application.adoptRestoredWarmup();
+        } else {
+            application.scheduleWarmup(s.runs, out.report);
+            sys.simulator().runUntilCondition(
+                [&application] { return application.warmupComplete(); });
+            if (memoize && !cached) {
+                auto snap = std::make_shared<soc::WarmupSnapshot>();
+                if (sys.captureWarmup(*snap, seq_base))
+                    sweep::snapshotCacheStore(key, std::move(snap));
+            }
+        }
         for (auto *loop : loops)
             loop->start(sys.simulator().now() + sim::secToNs(60.0));
         application.scheduleFramesAfterWarmup(s.runs, out.report,
@@ -357,34 +351,8 @@ runScenarioDirect(const Scenario &s, sim::EngineMode engine,
         application.scheduleRuns(s.runs, out.report, stop_loops);
     }
     out.endTimeNs = sys.run();
-
-    collectResult(sys, application, out);
-    for (const auto *loop : loops)
-        out.backgroundInferences += loop->completedInferences();
+    collectResult(sys, application, loops, outputs, out);
     return out;
-}
-
-} // namespace
-
-ScenarioResult
-runScenario(const Scenario &s, sim::EngineMode engine)
-{
-    assert(scenarioValid(s));
-    // All run state lives in the thread's arena; the guard resets it
-    // (running registered finalizers in reverse creation order) after
-    // the result — which holds no pointers into the arena — is out.
-    sim::Arena &arena = scenarioArena();
-    sim::ArenaResetGuard guard(arena);
-    if (engine == sim::EngineMode::Fast &&
-        classifySnapshotUse(s) == SnapshotUse::Eligible)
-        return runScenarioMemoized(s, arena);
-    return runScenarioDirect(s, engine, arena);
-}
-
-ScenarioResult
-runScenario(const Scenario &s)
-{
-    return runScenario(s, sim::EngineMode::Fast);
 }
 
 } // namespace aitax::verify

@@ -41,6 +41,10 @@ struct Scenario
     int cpuLoadProcesses = 0;
     /** Streaming camera capture (depth-1 buffer) instead of on-demand. */
     bool streaming = false;
+    /** CPU threads for the inference runtime. */
+    int threads = 4;
+    /** Enable the Section III-D driver instrumentation probe. */
+    bool instrumentation = false;
     /**
      * Arm the seeded fault injector (FaultConfig::fuzzDefaults()).
      * Never sampled — only `aitax_cli verify --faults` sets it, so the
@@ -101,6 +105,21 @@ struct ScenarioResult
     faults::FaultStats faultStats;
     /** Simulation events executed — campaign throughput numerator. */
     std::uint64_t eventsExecuted = 0;
+    /** Fast-engine front-cache hits (0 under Reference). */
+    std::uint64_t frontCacheHits = 0;
+};
+
+/** Which ScenarioResult fields a run fills in. */
+enum class Outputs
+{
+    /** Everything, including rpcLog, frameLog and chromeTraceJson. */
+    All,
+    /**
+     * Everything except rpcLog, frameLog and chromeTraceJson, which
+     * stay empty: the Chrome-trace serialization dominates a short
+     * run, and callers that read only the report skip it.
+     */
+    Summary,
 };
 
 /**
@@ -137,17 +156,19 @@ std::string snapshotKey(const Scenario &s);
 
 /**
  * Execute one scenario: build the platform, run the pipeline with any
- * configured background load, and collect the report plus witnesses.
- * Runs the Fast engine with warm-up memoization where eligible.
+ * configured background load, and collect the report plus the
+ * witnesses @p outputs asks for. This is the only code that runs a
+ * Scenario — the verify tier, the paper harnesses and the campaign
+ * workers all come through here.
+ *
+ * Fast runs the skip-ahead engine and memoizes the warm-up of
+ * snapshot-eligible scenarios; Reference runs the heap-only loop and
+ * never memoizes (the differential-test hook). Both produce
+ * byte-identical results.
  */
-ScenarioResult runScenario(const Scenario &s);
-
-/**
- * Engine-explicit variant, the differential-test hook: Reference runs
- * the heap-only loop with no memoization; Fast runs the skip-ahead
- * engine with the snapshot cache. Both produce byte-identical results.
- */
-ScenarioResult runScenario(const Scenario &s, sim::EngineMode engine);
+ScenarioResult runScenario(const Scenario &s,
+                           sim::EngineMode engine = sim::EngineMode::Fast,
+                           Outputs outputs = Outputs::All);
 
 /**
  * The calling thread's scenario arena: runScenario() bump-allocates

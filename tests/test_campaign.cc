@@ -19,6 +19,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/random.h"
@@ -325,6 +326,45 @@ TEST(Campaign, AggregateSerializationRoundTrips)
     EXPECT_EQ(back.events, agg.events);
     EXPECT_EQ(back.checksumMs, agg.checksumMs);
     EXPECT_TRUE(back.latencyMs.identicalTo(agg.latencyMs));
+}
+
+TEST(CampaignSpec, SplitsKeyValueTokensInOrder)
+{
+    using Fields = std::vector<std::pair<std::string, std::string>>;
+    EXPECT_EQ(sweep::splitSpec("corpus=fuzz  seed=7 bare chunk= a=b=c"),
+              (Fields{{"corpus", "fuzz"},
+                      {"seed", "7"},
+                      {"chunk", ""},
+                      {"a", "b=c"}}));
+    EXPECT_TRUE(sweep::splitSpec("").empty());
+    EXPECT_TRUE(sweep::splitSpec("no tokens here").empty());
+}
+
+TEST(CampaignSpec, NumbersMustConsumeTheWholeValue)
+{
+    std::string err;
+    std::uint64_t seed = 99;
+    EXPECT_TRUE(sweep::parseSpecNumber("seed", "18446744073709551615",
+                                       seed, &err));
+    EXPECT_EQ(seed, 18446744073709551615ull);
+    int n = 0;
+    EXPECT_TRUE(sweep::parseSpecNumber("scenarios", "-3", n, &err));
+    EXPECT_EQ(n, -3);
+
+    for (const char *bad : {"12abc", "-1", "", "+5", "0x10", "1.5",
+                            "18446744073709551616"}) {
+        seed = 99;
+        err.clear();
+        EXPECT_FALSE(sweep::parseSpecNumber("seed", bad, seed, &err))
+            << bad;
+        EXPECT_EQ(seed, 99u) << bad;
+        EXPECT_NE(err.find("seed="), std::string::npos) << err;
+    }
+    for (const char *bad : {"64x", "2147483648", "", "1e3"}) {
+        n = 7;
+        EXPECT_FALSE(sweep::parseSpecNumber("runs", bad, n, &err)) << bad;
+        EXPECT_EQ(n, 7) << bad;
+    }
 }
 
 } // namespace

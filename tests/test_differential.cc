@@ -8,10 +8,10 @@
  * every Table II chipset, faults on and off, and any worker count.
  *
  * Also the negative side of the memoization contract: scenarios that
- * share a warm-up prefix but diverge in streaming, faults or
- * background load must never share a snapshot, either because the
- * divergent field is part of the cache key or because the scenario is
- * classified ineligible outright.
+ * share a warm-up prefix but diverge in streaming, faults, background
+ * load, thread count or instrumentation must never share a snapshot,
+ * either because the divergent field is part of the cache key or
+ * because the scenario is classified ineligible outright.
  */
 
 #include <gtest/gtest.h>
@@ -42,6 +42,8 @@ constexpr int kCorpusSize = 64;
  * lucky draw. The pinned rows cycle through the three fork-stream
  * sub-shapes (quiet, streaming capture, background-loaded) so every
  * warm-up class the cache serves is byte-compared against Reference.
+ * Some rows also leave the thread-count and instrumentation defaults
+ * the paper harnesses vary, so those fields reach the byte compare.
  */
 std::vector<Scenario>
 differentialCorpus(bool faults)
@@ -75,6 +77,10 @@ differentialCorpus(bool faults)
                 break;
             }
         }
+        if (i % 5 == 1)
+            s.threads = 1;
+        if (i % 7 == 2)
+            s.instrumentation = true;
         out.push_back(s);
     }
     return out;
@@ -117,6 +123,22 @@ resultBytes(const ScenarioResult &r)
     return os.str();
 }
 
+/**
+ * The fields Outputs::Summary keeps, in resultBytes' format: every
+ * field except rpcLog, frameLog and chromeTraceJson.
+ */
+std::string
+summaryBytes(const ScenarioResult &r)
+{
+    ScenarioResult kept = r;
+    kept.rpcLog.clear();
+    kept.frameLog.clear();
+    kept.chromeTraceJson.clear();
+    std::ostringstream os;
+    os << resultBytes(kept) << "|events=" << r.eventsExecuted;
+    return os.str();
+}
+
 void
 expectCorpusIdentical(bool faults)
 {
@@ -126,12 +148,19 @@ expectCorpusIdentical(bool faults)
         const Scenario &s = corpus[i];
         const std::string ref =
             resultBytes(runScenario(s, sim::EngineMode::Reference));
-        const std::string fast =
-            resultBytes(runScenario(s, sim::EngineMode::Fast));
-        ASSERT_EQ(ref, fast)
+        const ScenarioResult fast = runScenario(s, sim::EngineMode::Fast);
+        ASSERT_EQ(ref, resultBytes(fast))
             << "engine divergence at corpus index " << i << ": "
             << s.describe() << "\nreplay: " << replayCommand(kMasterSeed,
                                                             static_cast<int>(i));
+        // Skipping the logs and the trace must not move anything else.
+        const ScenarioResult summary =
+            runScenario(s, sim::EngineMode::Fast, Outputs::Summary);
+        EXPECT_TRUE(summary.rpcLog.empty() && summary.frameLog.empty() &&
+                    summary.chromeTraceJson.empty());
+        ASSERT_EQ(summaryBytes(fast), summaryBytes(summary))
+            << "Outputs::Summary diverges at corpus index " << i << ": "
+            << s.describe();
     }
 }
 
@@ -258,6 +287,14 @@ TEST(SnapshotKey, AdversarialDivergentPairsNeverShare)
     Scenario other_mode = base;
     other_mode.mode = app::HarnessMode::BenchmarkApp;
     EXPECT_FALSE(couldShareSnapshot(base, other_mode));
+
+    Scenario one_thread = base;
+    one_thread.threads = 1;
+    EXPECT_FALSE(couldShareSnapshot(base, one_thread));
+
+    Scenario instrumented = base;
+    instrumented.instrumentation = true;
+    EXPECT_FALSE(couldShareSnapshot(base, instrumented));
 }
 
 TEST(SnapshotKey, FuzzedDivergentPairsNeverShare)
@@ -266,7 +303,7 @@ TEST(SnapshotKey, FuzzedDivergentPairsNeverShare)
     for (int i = 0; i < 256; ++i) {
         Scenario a = sampleScenario(rng);
         Scenario b = a;
-        switch (rng.uniformInt(0, 4)) {
+        switch (rng.uniformInt(0, 6)) {
           case 0:
             b.streaming = !b.streaming;
             break;
@@ -278,6 +315,12 @@ TEST(SnapshotKey, FuzzedDivergentPairsNeverShare)
             break;
           case 3:
             b.cpuLoadProcesses = a.cpuLoadProcesses == 0 ? 2 : 0;
+            break;
+          case 4:
+            b.threads = a.threads == 4 ? 1 : 4;
+            break;
+          case 5:
+            b.instrumentation = !b.instrumentation;
             break;
           default:
             b.mode = a.mode == app::HarnessMode::CliBenchmark

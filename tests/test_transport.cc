@@ -171,20 +171,8 @@ struct ChildGuard
 };
 
 // ---------------------------------------------------------------
-// 1. Transports: pipe vs TCP byte-identity, spec addressing, v1.
+// 1. Transports: pipe vs TCP byte-identity, spec addressing.
 // ---------------------------------------------------------------
-
-TEST(Transport, V1FallbackIsByteIdentical)
-{
-    auto v2 = pipeConfig(24, 4, 2, 1, 77);
-    const std::string base = mustRun(v2);
-    ASSERT_FALSE(base.empty());
-
-    auto v1 = v2;
-    v1.workerCmd.push_back("--protocol");
-    v1.workerCmd.push_back("v1");
-    EXPECT_EQ(mustRun(v1), base);
-}
 
 TEST(Transport, TcpWorkersResolveCorpusFromSpec)
 {
@@ -244,6 +232,18 @@ TEST(Transport, WorkerRejectsForeignSpec)
     EXPECT_EQ(sum.status, sweep::CampaignStatus::Error);
     EXPECT_NE(sum.error.find("rejected campaign spec"),
               std::string::npos)
+        << sum.error;
+}
+
+TEST(Transport, WorkerRejectsMalformedSpecNumber)
+{
+    // A number with trailing junk must fail the campaign rather than
+    // resolve a corpus (seed 12) the spec never named.
+    auto cfg = pipeConfig(8, 4, 1, 1, 77);
+    cfg.corpusSpec = "corpus=fuzz seed=12abc";
+    const auto sum = sweep::runCampaign(cfg);
+    EXPECT_EQ(sum.status, sweep::CampaignStatus::Error);
+    EXPECT_NE(sum.error.find("seed=12abc"), std::string::npos)
         << sum.error;
 }
 
@@ -433,13 +433,13 @@ TEST(WorkerLoss, PartialResultLineIsDiscardedWithItsChunk)
     const std::string base = mustRun(pipeConfig(8, 2, 1, 1, 77));
     ASSERT_FALSE(base.empty());
 
-    // First life: speak v1, accept one range, stream one whole bogus
-    // result line plus HALF of a second one, then die. The torn
+    // First life: accept the spec and one range, stream one whole
+    // bogus result line plus HALF of a second one, then die. The torn
     // bytes sit in the coordinator's buffer at EOF and must be
     // discarded with the reclaimed chunk — any survival corrupts the
     // resumed bytes and fails the comparison below.
-    auto cfg = stubConfig("printf 'aitax-sweep-worker-v1 ready\\n'; "
-                          "read line; "
+    auto cfg = stubConfig("printf 'aitax-sweep-worker-v2 ready\\n'; "
+                          "read line; printf 'spec-ok\\n'; read line; "
                           "printf 'r 0 999.5 42\\nr 1 123.'; "
                           "exit 1",
                           "partial");
@@ -454,10 +454,12 @@ TEST(WorkerLoss, HungWorkerIsKilledByDeadline)
     const std::string base = mustRun(pipeConfig(8, 2, 1, 1, 77));
     ASSERT_FALSE(base.empty());
 
-    // First life: identify, take a range, then hang without closing
-    // the pipe. Only the liveness deadline can recover this.
-    auto cfg = stubConfig("printf 'aitax-sweep-worker-v1 ready\\n'; "
-                          "read line; exec sleep 300",
+    // First life: identify, accept the spec, take a range, then hang
+    // without closing the pipe. Only the liveness deadline can recover
+    // this.
+    auto cfg = stubConfig("printf 'aitax-sweep-worker-v2 ready\\n'; "
+                          "read line; printf 'spec-ok\\n'; read line; "
+                          "exec sleep 300",
                           "hung");
     cfg.workerDeadlineSeconds = 0.5;
     sweep::CampaignSummary sum;

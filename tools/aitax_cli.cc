@@ -70,14 +70,14 @@
  *                            session per endpoint; repeat an endpoint
  *                            for several sessions on one daemon).
  *                            Workers resolve the corpus from the
- *                            campaign spec — protocol v2 required.
+ *                            campaign spec.
  *     --worker-deadline <s>  kill + re-dispatch a worker with no
  *                            protocol activity for s seconds
  *
  *   aitax_cli sweep-serve [--seed N] [--jobs N] [--faults]
  *             [--engine fast|reference] [--exit-after N]
- *             [--protocol v1|v2] [--listen PORT] [--bind ADDR]
- *             [--accept N] [--port-file FILE]
+ *             [--listen PORT] [--bind ADDR] [--accept N]
+ *             [--port-file FILE]
  *                                     worker: serve scenario ranges
  *                                     over stdin/stdout, or (--listen)
  *                                     over TCP, sessions served
@@ -364,8 +364,8 @@ campaignUsage()
                  "[--workers host:port,...] [--worker-deadline SEC]\n"
                  "       aitax_cli sweep-serve [--seed N] [--jobs N] "
                  "[--faults] [--engine fast|reference] [--exit-after N] "
-                 "[--protocol v1|v2] [--listen PORT] [--bind ADDR] "
-                 "[--accept N] [--port-file FILE]\n"
+                 "[--listen PORT] [--bind ADDR] [--accept N] "
+                 "[--port-file FILE]\n"
                  "       aitax_cli serve [--listen PORT] [--bind ADDR] "
                  "[--jobs N] [--accept N] [--port-file FILE]\n");
     std::exit(2);
@@ -379,7 +379,8 @@ fuzzScenarioFn(std::uint64_t master_seed, bool faults,
     return [master_seed, faults, engine](int index) {
         verify::Scenario s = verify::fuzzScenario(master_seed, index);
         s.faults = faults;
-        const verify::ScenarioResult r = verify::runScenario(s, engine);
+        const verify::ScenarioResult r =
+            verify::runScenario(s, engine, verify::Outputs::Summary);
         sweep::ScenarioOutcome out;
         out.e2eMeanMs = r.report.endToEndMeanMs();
         out.events = r.eventsExecuted;
@@ -403,22 +404,12 @@ fuzzSpecResolver()
         std::uint64_t seed = 2021;
         bool faults = false;
         sim::EngineMode engine = sim::EngineMode::Fast;
-        std::size_t pos = 0;
-        while (pos < spec.size()) {
-            std::size_t sp = spec.find(' ', pos);
-            if (sp == std::string::npos)
-                sp = spec.size();
-            const std::string tok = spec.substr(pos, sp - pos);
-            pos = sp + 1;
-            const std::size_t eq = tok.find('=');
-            if (eq == std::string::npos)
-                continue;
-            const std::string key = tok.substr(0, eq);
-            const std::string val = tok.substr(eq + 1);
+        for (const auto &[key, val] : sweep::splitSpec(spec)) {
             if (key == "corpus")
                 corpus = val;
-            else if (key == "seed")
-                seed = std::strtoull(val.c_str(), nullptr, 10);
+            else if (key == "seed" &&
+                     !sweep::parseSpecNumber(key, val, seed, error))
+                return {};
             else if (key == "faults")
                 faults = val != "0";
             else if (key == "engine") {
@@ -477,15 +468,7 @@ sweepServeMain(int argc, char **argv)
             accept_limit = std::atoi(next());
         else if (arg == "--port-file")
             port_file = next();
-        else if (arg == "--protocol") {
-            const std::string which = next();
-            if (which == "v1")
-                opts.protocolVersion = 1;
-            else if (which == "v2")
-                opts.protocolVersion = 2;
-            else
-                campaignUsage();
-        } else if (arg == "--engine") {
+        else if (arg == "--engine") {
             const std::string which = next();
             if (which == "fast")
                 engine = sim::EngineMode::Fast;
@@ -502,7 +485,6 @@ sweepServeMain(int argc, char **argv)
         sweep::ServeOptions so;
         so.jobs = opts.jobs;
         so.exitAfterRanges = opts.exitAfterRanges;
-        so.protocolVersion = opts.protocolVersion;
         return sweep::serveTcpWorker(
             bind_addr, listen_port, so,
             fuzzScenarioFn(master_seed, faults, engine),
