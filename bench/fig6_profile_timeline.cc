@@ -49,9 +49,7 @@ runAndRender(app::FrameworkKind fw, const char *title,
     std::printf("inference mean %.2f ms, E2E mean %.2f ms\n",
                 report.stageMeanMs(core::Stage::Inference),
                 report.endToEndMeanMs());
-    trace::RenderOptions opts;
-    opts.buckets = 72;
-    trace::renderTimeline(std::cout, sys.tracer(), 0, runs_done, opts);
+    trace::renderTimeline(std::cout, sys.tracer(), 0, runs_done, 72);
     std::printf("scheduler: %lld context switches, %lld migrations, "
                 "DSP jobs completed: %lld\n\n",
                 static_cast<long long>(sys.scheduler().contextSwitches()),

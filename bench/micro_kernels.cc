@@ -8,7 +8,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -438,60 +437,6 @@ BM_TracerRecordInterned(benchmark::State &state)
                             static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_TracerRecordInterned)->Arg(1'000'000);
-
-void
-BM_TracerRecordStringApi(benchmark::State &state)
-{
-    const auto n = static_cast<std::size_t>(state.range(0));
-    const auto ops = makeTraceOps(n, 8, 16);
-    std::vector<std::string> tracks, labels;
-    for (int i = 0; i < 8; ++i)
-        tracks.push_back("core" + std::to_string(i));
-    for (int i = 0; i < 16; ++i)
-        labels.push_back("job_" + std::to_string(i));
-    trace::Tracer t;
-    for (auto _ : state) {
-        t.clear();
-        for (const auto &op : ops)
-            t.recordInterval(tracks[op.track], labels[op.label],
-                             op.begin, op.end);
-        benchmark::DoNotOptimize(t.intervalCount());
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_TracerRecordStringApi)->Arg(1'000'000);
-
-void
-BM_TracerRecordLegacyBaseline(benchmark::State &state)
-{
-    // Replica of the pre-interning storage: string-keyed ordered map
-    // of AoS vectors with a std::string label per record. This is the
-    // baseline the >=3x record-path claim is measured against.
-    struct LegacyInterval
-    {
-        std::string label;
-        sim::TimeNs begin;
-        sim::TimeNs end;
-    };
-    const auto n = static_cast<std::size_t>(state.range(0));
-    const auto ops = makeTraceOps(n, 8, 16);
-    std::vector<std::string> tracks, labels;
-    for (int i = 0; i < 8; ++i)
-        tracks.push_back("core" + std::to_string(i));
-    for (int i = 0; i < 16; ++i)
-        labels.push_back("job_" + std::to_string(i));
-    for (auto _ : state) {
-        std::map<std::string, std::vector<LegacyInterval>> store;
-        for (const auto &op : ops)
-            store[tracks[op.track]].push_back(
-                {labels[op.label], op.begin, op.end});
-        benchmark::DoNotOptimize(store.size());
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_TracerRecordLegacyBaseline)->Arg(1'000'000);
 
 void
 BM_ChromeTraceSerialize(benchmark::State &state)

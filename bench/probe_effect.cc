@@ -3,25 +3,26 @@
  * Section III-D reproduction: the probe effect of driver
  * instrumentation — 4-7% on hardware-accelerated inference, none on
  * CPU paths — plus the probe effect of our *own* instrumentation: the
- * tracer record path. The second half measures events/sec with
- * tracing on vs. off and the interned record path against the old
- * string-keyed design, and emits a checksum-verified BENCH_trace.json
- * so the tracer perf trajectory has data points (like
- * BENCH_sweep.json does for the sweep pool).
+ * tracer record path. The second half measures the record path's
+ * events/sec and simulator events/sec with tracing on vs. off, checks
+ * that switching tracing off changes no simulated result, and emits
+ * BENCH_trace.json so the tracer perf trajectory has data points (like
+ * BENCH_sweep.json does for the sweep pool). Exits 1 if tracing on and
+ * off disagree on the event count or the end-to-end mean.
  *
  * Usage: probe_effect [--jobs N] [--trace-out FILE]
  */
 
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "trace/chrome_trace.h"
 
 namespace {
 
@@ -33,31 +34,6 @@ secondsSince(Clock::time_point start)
 {
     return std::chrono::duration<double>(Clock::now() - start).count();
 }
-
-/**
- * Replica of the pre-interning tracer storage: a string-keyed ordered
- * map of AoS interval vectors, with a std::string label stored per
- * event. This is the baseline the interned path is measured against.
- */
-struct LegacyMapTracer
-{
-    struct Interval
-    {
-        std::string label;
-        sim::TimeNs begin;
-        sim::TimeNs end;
-    };
-    std::map<std::string, std::vector<Interval>> tracks;
-
-    void
-    recordInterval(const std::string &track, const std::string &label,
-                   sim::TimeNs begin, sim::TimeNs end)
-    {
-        if (end <= begin)
-            return;
-        tracks[track].push_back({label, begin, end});
-    }
-};
 
 constexpr int kRecordEvents = 1'000'000;
 
@@ -103,30 +79,11 @@ recLabelName(int i)
     return "job_" + std::to_string(i);
 }
 
-/** Events/sec of the legacy string-keyed map baseline. */
-double
-benchLegacyRecord(const std::vector<RecordOp> &ops)
-{
-    std::vector<std::string> tracks, labels;
-    for (int i = 0; i < 8; ++i)
-        tracks.push_back(recTrackName(i));
-    for (int i = 0; i < 16; ++i)
-        labels.push_back(recLabelName(i));
-    LegacyMapTracer t;
-    const auto t0 = Clock::now();
-    for (const RecordOp &op : ops)
-        t.recordInterval(tracks[static_cast<std::size_t>(op.track)],
-                         labels[static_cast<std::size_t>(op.label)],
-                         op.begin, op.end);
-    const double s = secondsSince(t0);
-    return static_cast<double>(ops.size()) / s;
-}
-
 /** Events/sec of the interned id-based record path (steady state). */
 double
-benchInternedRecord(const std::vector<RecordOp> &ops,
-                    trace::Tracer &out)
+benchInternedRecord(const std::vector<RecordOp> &ops)
 {
+    trace::Tracer out;
     std::vector<trace::TrackId> tracks;
     for (int i = 0; i < 8; ++i)
         tracks.push_back(out.internTrack(recTrackName(i)));
@@ -149,36 +106,20 @@ benchInternedRecord(const std::vector<RecordOp> &ops,
     return static_cast<double>(ops.size()) / s;
 }
 
-/** Events/sec through the legacy string overloads (wrapper cost). */
-double
-benchStringApiRecord(const std::vector<RecordOp> &ops)
-{
-    std::vector<std::string> tracks, labels;
-    for (int i = 0; i < 8; ++i)
-        tracks.push_back(recTrackName(i));
-    for (int i = 0; i < 16; ++i)
-        labels.push_back(recLabelName(i));
-    trace::Tracer t;
-    const auto t0 = Clock::now();
-    for (const RecordOp &op : ops)
-        t.recordInterval(tracks[static_cast<std::size_t>(op.track)],
-                         labels[static_cast<std::size_t>(op.label)],
-                         op.begin, op.end);
-    const double s = secondsSince(t0);
-    return static_cast<double>(ops.size()) / s;
-}
-
 struct ScenarioProbe
 {
     double on_events_per_sec = 0.0;
     double off_events_per_sec = 0.0;
-    std::int64_t events = 0;
+    std::uint64_t events = 0;
+    /** Every on and off run executed the same events and E2E mean. */
+    bool on_off_match = true;
 };
 
 /**
  * Probe effect of the tracer on a full simulation: the same scenario
  * with collection enabled and disabled, in simulator events/sec of
- * host wall-clock.
+ * host wall-clock. Tracing must only observe: every run, on or off,
+ * must execute the same events and give a bit-identical E2E mean.
  */
 ScenarioProbe
 benchScenarioProbe()
@@ -193,6 +134,12 @@ benchScenarioProbe()
     cfg.framework = app::FrameworkKind::TfliteHexagon;
     cfg.mode = app::HarnessMode::AndroidApp;
 
+    struct Run
+    {
+        double events_per_sec;
+        std::uint64_t events;
+        std::uint64_t e2e_mean_bits;
+    };
     auto run_once = [&](bool tracing) {
         soc::SocSystem sys(platform, /*seed=*/7);
         sys.tracer().setEnabled(tracing);
@@ -203,44 +150,30 @@ benchScenarioProbe()
         sys.run();
         const double s = secondsSince(t0);
         const auto events = sys.simulator().eventsExecuted();
-        return std::pair<double, std::int64_t>(
-            static_cast<double>(events) / s, events);
+        return Run{static_cast<double>(events) / s, events,
+                   std::bit_cast<std::uint64_t>(report.endToEndMeanMs())};
     };
 
     ScenarioProbe probe;
     // Warm up each variant, then take the best of several
     // interleaved repeats — a single run is only ~10ms of wall
     // clock, far too noisy on a shared host.
-    (void)run_once(true);
-    (void)run_once(false);
+    const Run first = run_once(true);
+    probe.events = first.events;
+    auto check = [&](const Run &r) {
+        probe.on_off_match = probe.on_off_match &&
+                             r.events == first.events &&
+                             r.e2e_mean_bits == first.e2e_mean_bits;
+        return r.events_per_sec;
+    };
+    check(run_once(false));
     for (int rep = 0; rep < 7; ++rep) {
-        const auto on = run_once(true);
-        const auto off = run_once(false);
         probe.on_events_per_sec =
-            std::max(probe.on_events_per_sec, on.first);
+            std::max(probe.on_events_per_sec, check(run_once(true)));
         probe.off_events_per_sec =
-            std::max(probe.off_events_per_sec, off.first);
-        probe.events = on.second;
+            std::max(probe.off_events_per_sec, check(run_once(false)));
     }
     return probe;
-}
-
-/**
- * Serialization checksum: the tracer filled by the interned record
- * pass must serialize byte-identically to one filled through the
- * string API with the same data.
- */
-bool
-traceChecksumMatches(const trace::Tracer &interned,
-                     const std::vector<RecordOp> &ops)
-{
-    trace::Tracer via_string;
-    for (const RecordOp &op : ops)
-        via_string.recordInterval(recTrackName(op.track),
-                                  recLabelName(op.label), op.begin,
-                                  op.end);
-    return trace::chromeTraceString(via_string) ==
-           trace::chromeTraceString(interned);
 }
 
 } // namespace
@@ -331,26 +264,13 @@ main(int argc, char **argv)
     bench::heading(
         "Probe effect of the tracer itself",
         "Section III-D, applied to our instrumentation",
-        "the interned record path is multiples faster than the old "
-        "string-keyed design, and disabling tracing barely moves "
-        "simulator throughput");
+        "disabling tracing barely moves simulator throughput and "
+        "changes no simulated result");
 
-    const auto ops = makeRecordOps();
-    const double legacy_eps = benchLegacyRecord(ops);
-    const double string_eps = benchStringApiRecord(ops);
-    trace::Tracer interned;
-    const double interned_eps = benchInternedRecord(ops, interned);
-    const double record_speedup =
-        legacy_eps > 0.0 ? interned_eps / legacy_eps : 0.0;
-
+    const double interned_eps = benchInternedRecord(makeRecordOps());
     std::printf("record path, %d intervals:\n", kRecordEvents);
-    std::printf("  legacy string-keyed map  %10.2f M events/s\n",
-                legacy_eps / 1e6);
-    std::printf("  string API (re-intern)   %10.2f M events/s\n",
-                string_eps / 1e6);
-    std::printf("  interned id API          %10.2f M events/s  "
-                "(%.1fx vs legacy)\n",
-                interned_eps / 1e6, record_speedup);
+    std::printf("  interned id API          %10.2f M events/s\n",
+                interned_eps / 1e6);
 
     const auto probe = benchScenarioProbe();
     const double probe_pct =
@@ -359,17 +279,16 @@ main(int argc, char **argv)
                1.0) *
                   100.0
             : 0.0;
-    std::printf("full simulation (%lld simulator events):\n",
-                static_cast<long long>(probe.events));
+    std::printf("full simulation (%llu simulator events):\n",
+                static_cast<unsigned long long>(probe.events));
     std::printf("  tracing on               %10.2f M events/s\n",
                 probe.on_events_per_sec / 1e6);
     std::printf("  tracing off              %10.2f M events/s  "
                 "(tracing costs %.1f%%)\n",
                 probe.off_events_per_sec / 1e6, probe_pct);
 
-    const bool checksum_match = traceChecksumMatches(interned, ops);
-    std::printf("  serialization checksum: id API vs string API %s\n",
-                checksum_match ? "match" : "MISMATCH");
+    std::printf("  tracing on vs off: events and E2E mean %s\n",
+                probe.on_off_match ? "match" : "MISMATCH");
 
     std::ofstream out(trace_out);
     if (!out) {
@@ -379,25 +298,19 @@ main(int argc, char **argv)
     char buf[64];
     out << "{\n"
         << "  \"record_events\": " << kRecordEvents << ",\n";
-    std::snprintf(buf, sizeof(buf), "%.0f", legacy_eps);
-    out << "  \"legacy_events_per_sec\": " << buf << ",\n";
-    std::snprintf(buf, sizeof(buf), "%.0f", string_eps);
-    out << "  \"string_api_events_per_sec\": " << buf << ",\n";
     std::snprintf(buf, sizeof(buf), "%.0f", interned_eps);
     out << "  \"interned_events_per_sec\": " << buf << ",\n";
-    std::snprintf(buf, sizeof(buf), "%.3f", record_speedup);
-    out << "  \"record_speedup\": " << buf << ",\n";
     std::snprintf(buf, sizeof(buf), "%.0f", probe.on_events_per_sec);
     out << "  \"sim_events_per_sec_tracing_on\": " << buf << ",\n";
     std::snprintf(buf, sizeof(buf), "%.0f", probe.off_events_per_sec);
     out << "  \"sim_events_per_sec_tracing_off\": " << buf << ",\n";
     std::snprintf(buf, sizeof(buf), "%.3f", probe_pct);
     out << "  \"tracing_overhead_pct\": " << buf << ",\n";
-    out << "  \"checksum_match\": "
-        << (checksum_match ? "true" : "false") << "\n"
+    out << "  \"tracing_on_off_match\": "
+        << (probe.on_off_match ? "true" : "false") << "\n"
         << "}\n";
     out.close();
     std::printf("  wrote %s\n", trace_out.c_str());
 
-    return checksum_match ? 0 : 1;
+    return probe.on_off_match ? 0 : 1;
 }

@@ -225,7 +225,7 @@ benchSpecResolver()
  * Hidden worker mode: serve matrix scenarios over the campaign's
  * stdin/stdout protocol. The coordinator (the campaign passes below)
  * re-execs this binary with --serve plus the matrix dimensions, so a
- * worker builds the exact corpus the coordinator is sharding; the v2
+ * worker builds the exact corpus the coordinator is sharding; the
  * spec handshake re-resolves the same corpus from the identity line.
  */
 int
@@ -436,9 +436,6 @@ main(int argc, char **argv)
         ccfg.identity =
             "corpus=bench scenarios=" + std::to_string(scenarios) +
             " runs=" + std::to_string(runs) + " chunk=32 engine=fast";
-        // v2 workers re-resolve the corpus from this spec; the argv
-        // flags below keep the handshake and the argv paths in
-        // byte-for-byte agreement.
         ccfg.corpusSpec = ccfg.identity;
         ccfg.workerCmd = {self_exe,
                           "--serve",

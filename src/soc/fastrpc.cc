@@ -70,14 +70,10 @@ validateFastRpcConfig(const FastRpcConfig &cfg)
 } // namespace
 
 FastRpcChannel::FastRpcChannel(sim::Simulator &sim, FastRpcConfig cfg,
-                               Accelerator &dsp, trace::Tracer *tracer)
-    : sim(sim), cfg(cfg), dsp(dsp), tracer(tracer)
+                               Accelerator &dsp)
+    : sim(sim), cfg(cfg), dsp(dsp)
 {
     validateFastRpcConfig(this->cfg);
-    if (this->tracer && this->cfg.traceStages) {
-        track_ = this->tracer->internTrack("FastRPC");
-        callLabel_ = this->tracer->internLabel("fastrpc_call");
-    }
 }
 
 bool
@@ -124,12 +120,6 @@ FastRpcChannel::call(std::int32_t process_id, double payload_bytes,
 
     breakdown->kernelSignalNs = cfg.kernelSignalNs;
     pre += cfg.kernelSignalNs;
-
-    // Opt-in channel instrumentation: one interval per call covering
-    // the CPU-side stages (session open + copy + flush + signal).
-    if (tracer && cfg.traceStages)
-        tracer->recordInterval(track_, callLabel_, sim.now(),
-                               sim.now() + pre);
 
     auto state = std::make_shared<CallState>();
     state->breakdown = std::move(breakdown);

@@ -53,12 +53,8 @@ struct FastRpcBreakdown
 class FastRpcChannel
 {
   public:
-    /**
-     * @param tracer optional; with cfg.traceStages set, each call
-     * records a "FastRPC" interval covering the CPU-side stages.
-     */
     FastRpcChannel(sim::Simulator &sim, FastRpcConfig cfg,
-                   Accelerator &dsp, trace::Tracer *tracer = nullptr);
+                   Accelerator &dsp);
 
     FastRpcChannel(const FastRpcChannel &) = delete;
     FastRpcChannel &operator=(const FastRpcChannel &) = delete;
@@ -110,10 +106,7 @@ class FastRpcChannel
     sim::Simulator &sim;
     FastRpcConfig cfg;
     Accelerator &dsp;
-    trace::Tracer *tracer;
     faults::FaultInjector *faults_ = nullptr;
-    trace::TrackId track_;
-    trace::LabelId callLabel_;
     std::set<std::int32_t> sessions;
     std::int64_t completed = 0;
 

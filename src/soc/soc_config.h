@@ -103,12 +103,6 @@ struct FastRpcConfig
     double cacheFlushBytesPerSec = 8.0e9;
     /** Return path (DSP driver -> kernel -> user). */
     sim::DurationNs returnPathNs = sim::usToNs(50.0);
-    /**
-     * Record a per-call "FastRPC" trace interval spanning the CPU-side
-     * stages. Off by default: golden traces predate this channel
-     * instrumentation and must stay byte-identical.
-     */
-    bool traceStages = false;
 };
 
 /** Shared memory fabric. */

@@ -11,7 +11,7 @@ SocSystem::SocSystem(SocConfig cfg_in, std::uint64_t seed,
              &fabric_),
       gpu_(sim_, cfg.gpu, tracer_, &energy_, &fabric_),
       dsp_(sim_, cfg.dsp, tracer_, &energy_, &fabric_),
-      rpc_(sim_, cfg.fastrpc, dsp_, &tracer_), rng_(seed, "soc"),
+      rpc_(sim_, cfg.fastrpc, dsp_), rng_(seed, "soc"),
       arena_(arena)
 {
 }

@@ -109,6 +109,47 @@ parseInt(const char *&p, int &out)
     return true;
 }
 
+namespace detail {
+
+template <typename T>
+bool
+parseWholeWith(bool (*parse)(const char *&, T &), const char *text,
+               T &out)
+{
+    const char *p = text;
+    T parsed{};
+    if (!parse(p, parsed) || *p != '\0')
+        return false;
+    out = parsed;
+    return true;
+}
+
+} // namespace detail
+
+/**
+ * Whole-value parse of a flag or spec value: the parser above must
+ * consume all of @p text, so "64x", "5s", "", out-of-range values
+ * and, for the unsigned overload, "-1" are refused.
+ * @return false (leaving @p out untouched) on any of those.
+ */
+inline bool
+parseWhole(const char *text, int &out)
+{
+    return detail::parseWholeWith(&parseInt, text, out);
+}
+
+inline bool
+parseWhole(const char *text, std::uint64_t &out)
+{
+    return detail::parseWholeWith(&parseU64, text, out);
+}
+
+inline bool
+parseWhole(const char *text, double &out)
+{
+    return detail::parseWholeWith(&parseDouble, text, out);
+}
+
 } // namespace aitax::stats
 
 #endif // AITAX_STATS_NUMFMT_H

@@ -27,18 +27,10 @@ constexpr int kMaxRespawns = 8;
 
 using Clock = std::chrono::steady_clock;
 
-template <typename T>
 bool
-parseWholeSpecNumber(bool (*parse)(const char *&, T &),
-                     const std::string &key, const std::string &value,
-                     T &out, std::string *error)
+malformedSpecNumber(const std::string &key, const std::string &value,
+                    std::string *error)
 {
-    const char *p = value.c_str();
-    T parsed{};
-    if (parse(p, parsed) && *p == '\0') {
-        out = parsed;
-        return true;
-    }
     *error = "malformed number in campaign spec: " + key + "=" + value;
     return false;
 }
@@ -71,14 +63,16 @@ bool
 parseSpecNumber(const std::string &key, const std::string &value,
                 std::uint64_t &out, std::string *error)
 {
-    return parseWholeSpecNumber(&stats::parseU64, key, value, out, error);
+    return stats::parseWhole(value.c_str(), out) ||
+           malformedSpecNumber(key, value, error);
 }
 
 bool
 parseSpecNumber(const std::string &key, const std::string &value,
                 int &out, std::string *error)
 {
-    return parseWholeSpecNumber(&stats::parseInt, key, value, out, error);
+    return stats::parseWhole(value.c_str(), out) ||
+           malformedSpecNumber(key, value, error);
 }
 
 // ---------------------------------------------------------------------

@@ -98,10 +98,10 @@ std::vector<std::pair<std::string, std::string>>
 splitSpec(std::string_view spec);
 
 /**
- * Parse the spec value @p value of @p key as a base-10 number
- * (stats/numfmt.h) that consumes the whole value, so "12abc", "",
- * out-of-range values and (unsigned) "-1" are refused with @p error
- * naming the key. A resolver answers such a spec with "spec-err".
+ * Parse the spec value @p value of @p key with stats::parseWhole, so
+ * "12abc", "", out-of-range values and (unsigned) "-1" are refused
+ * with @p error naming the key. A resolver answers such a spec with
+ * "spec-err".
  */
 bool parseSpecNumber(const std::string &key, const std::string &value,
                      std::uint64_t &out, std::string *error);

@@ -62,29 +62,12 @@ FrameLineIO::~FrameLineIO()
 bool
 FrameLineIO::readLine(std::string &line)
 {
-    line.clear();
     for (;;) {
-        if (raw_.size() >= 4) {
-            const std::uint32_t len =
-                (static_cast<std::uint32_t>(
-                     static_cast<unsigned char>(raw_[0]))
-                 << 24) |
-                (static_cast<std::uint32_t>(
-                     static_cast<unsigned char>(raw_[1]))
-                 << 16) |
-                (static_cast<std::uint32_t>(
-                     static_cast<unsigned char>(raw_[2]))
-                 << 8) |
-                static_cast<std::uint32_t>(
-                    static_cast<unsigned char>(raw_[3]));
-            if (len > kMaxFramePayload)
-                return false; // corrupt peer: drop the session
-            if (raw_.size() >= 4 + static_cast<std::size_t>(len)) {
-                line.assign(raw_, 4, len);
-                raw_.erase(0, 4 + static_cast<std::size_t>(len));
-                return true;
-            }
-        }
+        const FrameStatus status = takeFrame(raw_, line);
+        if (status == FrameStatus::Complete)
+            return true;
+        if (status == FrameStatus::Corrupt)
+            return false; // corrupt peer: drop the session
         char buf[4096];
         const ssize_t n = recv(fd_, buf, sizeof(buf), 0);
         if (n < 0) {
@@ -103,14 +86,8 @@ FrameLineIO::writeLine(std::string_view line)
 {
     if (fd_ < 0)
         return;
-    const auto len = static_cast<std::uint32_t>(line.size());
-    char frame[4];
-    frame[0] = static_cast<char>((len >> 24) & 0xff);
-    frame[1] = static_cast<char>((len >> 16) & 0xff);
-    frame[2] = static_cast<char>((len >> 8) & 0xff);
-    frame[3] = static_cast<char>(len & 0xff);
-    std::string wire(frame, 4);
-    wire.append(line);
+    std::string wire;
+    appendFrame(wire, line);
     // MSG_NOSIGNAL: a vanished coordinator surfaces as EPIPE (the next
     // readLine sees EOF), never as a fatal SIGPIPE in the worker.
     std::size_t off = 0;
@@ -131,7 +108,7 @@ FrameLineIO::writeLine(std::string_view line)
 // ---------------------------------------------------------------------
 
 int
-serveSession(LineIO &io, const ServeOptions &opts, ScenarioFn fn,
+serveSession(LineIO &io, const WorkerOptions &opts, ScenarioFn fn,
              const SpecResolver &resolver)
 {
     io.writeLine(kWorkerBannerV2);
@@ -245,10 +222,7 @@ runWorker(const WorkerOptions &opts, const ScenarioFn &fn,
           const SpecResolver &resolver)
 {
     StdioLineIO io;
-    ServeOptions so;
-    so.jobs = opts.jobs;
-    so.exitAfterRanges = opts.exitAfterRanges;
-    return serveSession(io, so, fn, resolver);
+    return serveSession(io, opts, fn, resolver);
 }
 
 // ---------------------------------------------------------------------
@@ -317,7 +291,7 @@ acceptRobust(int listenFd)
 
 int
 serveTcpWorker(const std::string &bindAddr, int port,
-               const ServeOptions &opts, ScenarioFn fn,
+               const WorkerOptions &opts, ScenarioFn fn,
                const SpecResolver &resolver, int acceptLimit,
                const std::string &portFile)
 {
@@ -393,11 +367,11 @@ runServeDaemon(const DaemonOptions &opts, const SpecResolver &resolver)
             // One process per campaign session: snapshot-cache stats,
             // pools and resolved corpora are isolated per connection.
             close(listenFd);
-            ServeOptions so;
-            so.jobs = opts.jobs;
+            WorkerOptions session;
+            session.jobs = opts.jobs;
             FrameLineIO io(conn);
             const int rc =
-                serveSession(io, so, ScenarioFn(), resolver);
+                serveSession(io, session, ScenarioFn(), resolver);
             std::_Exit(rc);
         }
         close(conn);

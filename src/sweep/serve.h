@@ -73,14 +73,6 @@ class FrameLineIO final : public LineIO
     std::string raw_; ///< received, undecoded frame bytes
 };
 
-struct ServeOptions
-{
-    /** Threads for the session's in-process SweepRunner pool. */
-    int jobs = 1;
-    /** Crash injection (see WorkerOptions::exitAfterRanges). */
-    int exitAfterRanges = -1;
-};
-
 /**
  * Serve one coordinator session over @p io until "quit" or EOF.
  *
@@ -91,7 +83,7 @@ struct ServeOptions
  *        *error set ("spec-err" goes back on the wire).
  * @return process exit code (0 on clean quit / EOF).
  */
-int serveSession(LineIO &io, const ServeOptions &opts, ScenarioFn fn,
+int serveSession(LineIO &io, const WorkerOptions &opts, ScenarioFn fn,
                  const SpecResolver &resolver);
 
 /**
@@ -103,7 +95,7 @@ int serveSession(LineIO &io, const ServeOptions &opts, ScenarioFn fn,
  *        forever. @return exit code.
  */
 int serveTcpWorker(const std::string &bindAddr, int port,
-                   const ServeOptions &opts, ScenarioFn fn,
+                   const WorkerOptions &opts, ScenarioFn fn,
                    const SpecResolver &resolver, int acceptLimit,
                    const std::string &portFile);
 

@@ -226,14 +226,8 @@ class TcpChannel final : public WorkerChannel
     {
         if (fd_ < 0)
             return;
-        const auto len = static_cast<std::uint32_t>(line.size());
-        char frame[4];
-        frame[0] = static_cast<char>((len >> 24) & 0xff);
-        frame[1] = static_cast<char>((len >> 16) & 0xff);
-        frame[2] = static_cast<char>((len >> 8) & 0xff);
-        frame[3] = static_cast<char>(len & 0xff);
-        std::string wire(frame, 4);
-        wire.append(line);
+        std::string wire;
+        appendFrame(wire, line);
         // MSG_NOSIGNAL: a dead peer must surface as EPIPE (ignored;
         // the read side reports the loss), never as a fatal SIGPIPE.
         std::size_t off = 0;
@@ -267,27 +261,16 @@ class TcpChannel final : public WorkerChannel
         // Decode every complete frame into a newline-terminated line
         // so the coordinator's parser sees pipe-identical bytes.
         int produced = 0;
-        while (raw_.size() >= 4) {
-            const std::uint32_t len =
-                (static_cast<std::uint32_t>(
-                     static_cast<unsigned char>(raw_[0]))
-                 << 24) |
-                (static_cast<std::uint32_t>(
-                     static_cast<unsigned char>(raw_[1]))
-                 << 16) |
-                (static_cast<std::uint32_t>(
-                     static_cast<unsigned char>(raw_[2]))
-                 << 8) |
-                static_cast<std::uint32_t>(
-                    static_cast<unsigned char>(raw_[3]));
-            if (len > kMaxFramePayload)
+        std::string line;
+        for (;;) {
+            const FrameStatus status = takeFrame(raw_, line);
+            if (status == FrameStatus::Corrupt)
                 return 0; // corrupt peer: treat as lost
-            if (raw_.size() < 4 + static_cast<std::size_t>(len))
+            if (status == FrameStatus::Incomplete)
                 break;
-            out.append(raw_, 4, len);
+            out += line;
             out += '\n';
-            produced += static_cast<int>(len) + 1;
-            raw_.erase(0, 4 + static_cast<std::size_t>(len));
+            produced += static_cast<int>(line.size()) + 1;
         }
         return produced > 0 ? produced : -1;
     }

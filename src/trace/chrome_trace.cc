@@ -54,8 +54,8 @@ appendEscaped(std::string &out, std::string_view s)
 }
 
 /**
- * Append a nanosecond timestamp as microseconds, formatted exactly as
- * the legacy `os << double` did (defaultfloat, precision 6 == %g).
+ * Append a nanosecond timestamp as microseconds in %g form (six
+ * significant digits), the format the recorded trace fixture pins.
  */
 void
 appendUs(std::string &out, sim::TimeNs ns)
@@ -88,9 +88,8 @@ chromeTraceString(const Tracer &tracer)
         first = false;
     };
 
-    // Stable thread ids per track (1..N in sorted-name order, matching
-    // the std::map iteration the legacy writer relied on), plus name
-    // metadata events.
+    // Stable thread ids per track (1..N in sorted-name order), plus
+    // name metadata events.
     const std::vector<TrackId> tracks = tracer.sortedNonEmptyTracks();
     for (std::size_t i = 0; i < tracks.size(); ++i) {
         sep();

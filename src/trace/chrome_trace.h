@@ -7,8 +7,9 @@
  * open equivalent to browsing a Snapdragon Profiler capture.
  *
  * Serialization streams the columnar store into one output buffer —
- * no per-field temporaries — and is byte-identical to the legacy
- * string-concatenating writer (the golden traces depend on that).
+ * no per-field temporaries. The byte format is pinned by the recorded
+ * fixture tests/trace_fixtures/chrome_trace.json
+ * (TraceEquiv.StreamingWriterMatchesFixtureBytes).
  */
 
 #ifndef AITAX_TRACE_CHROME_TRACE_H

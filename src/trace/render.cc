@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string_view>
 
 namespace aitax::trace {
 
@@ -21,12 +22,12 @@ densityGlyph(double u)
 
 void
 renderTimeline(std::ostream &os, const Tracer &tracer, sim::TimeNs t0,
-               sim::TimeNs t1, const RenderOptions &opts)
+               sim::TimeNs t1, std::size_t buckets)
 {
     os << "timeline " << sim::formatDuration(t1 - t0) << " ("
-       << opts.buckets << " buckets of "
+       << buckets << " buckets of "
        << sim::formatDuration((t1 - t0) /
-                              static_cast<sim::DurationNs>(opts.buckets))
+                              static_cast<sim::DurationNs>(buckets))
        << ")\n";
 
     const auto tracks = tracer.sortedNonEmptyTracks();
@@ -36,9 +37,8 @@ renderTimeline(std::ostream &os, const Tracer &tracer, sim::TimeNs t0,
 
     for (TrackId id : tracks) {
         const std::string &name = tracer.trackName(id);
-        const auto util = tracer.utilization(name, t0, t1, opts.buckets);
-        os << "  ";
-        os << name;
+        const auto util = tracer.utilization(name, t0, t1, buckets);
+        os << "  " << name;
         for (std::size_t p = name.size(); p < widest; ++p)
             os << ' ';
         os << " |";
@@ -54,49 +54,24 @@ renderTimeline(std::ostream &os, const Tracer &tracer, sim::TimeNs t0,
         os << buf << "\n";
     }
 
-    if (opts.showCounters) {
-        for (const auto *counter_name : {"axi_bytes"}) {
-            const auto rate =
-                tracer.counterRate(counter_name, t0, t1, opts.buckets);
-            const double peak =
-                *std::max_element(rate.begin(), rate.end());
-            if (peak <= 0.0)
-                continue;
-            os << "  ";
-            std::string label = counter_name;
-            os << label;
-            for (std::size_t p = label.size(); p < widest; ++p)
-                os << ' ';
-            os << " |";
-            for (double r : rate)
-                os << densityGlyph(r / peak);
-            char buf[48];
-            std::snprintf(buf, sizeof(buf), "| peak %.1f MB/bucket",
-                          peak / 1e6);
-            os << buf << "\n";
-        }
+    constexpr std::string_view axi = "axi_bytes";
+    const auto rate = tracer.counterRate(axi, t0, t1, buckets);
+    const double peak = *std::max_element(rate.begin(), rate.end());
+    if (peak > 0.0) {
+        os << "  " << axi;
+        for (std::size_t p = axi.size(); p < widest; ++p)
+            os << ' ';
+        os << " |";
+        for (double r : rate)
+            os << densityGlyph(r / peak);
+        char buf[48];
+        std::snprintf(buf, sizeof(buf), "| peak %.1f MB/bucket",
+                      peak / 1e6);
+        os << buf << "\n";
     }
 
-    if (opts.showEventCounts) {
-        os << "  context switches: "
-           << tracer.countEvents("context_switch")
-           << ", migrations: " << tracer.countEvents("migration")
-           << "\n";
-    }
-}
-
-void
-renderIntervalsCsv(std::ostream &os, const Tracer &tracer)
-{
-    os << "track,label,begin_ns,end_ns\n";
-    for (TrackId id : tracer.sortedNonEmptyTracks()) {
-        const std::string &name = tracer.trackName(id);
-        const Tracer::TrackStore &t = tracer.track(id);
-        for (std::size_t j = 0; j < t.size(); ++j) {
-            os << name << "," << tracer.labelName(t.labels[j]) << ","
-               << t.begins[j] << "," << t.ends[j] << "\n";
-        }
-    }
+    os << "  context switches: " << tracer.countEvents("context_switch")
+       << ", migrations: " << tracer.countEvents("migration") << "\n";
 }
 
 } // namespace aitax::trace

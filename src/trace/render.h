@@ -7,33 +7,23 @@
 #ifndef AITAX_TRACE_RENDER_H
 #define AITAX_TRACE_RENDER_H
 
+#include <cstddef>
 #include <ostream>
-#include <string>
-#include <vector>
 
 #include "sim/time.h"
 #include "trace/tracer.h"
 
 namespace aitax::trace {
 
-/** Options for renderTimeline. */
-struct RenderOptions
-{
-    std::size_t buckets = 60;    ///< timeline columns
-    bool showCounters = true;    ///< include counter rows (AXI etc.)
-    bool showEventCounts = true; ///< context switches / migrations
-};
-
 /**
  * Render per-track utilization as rows of density glyphs
- * (' .:-=+*#%@' for 0..100%), one row per track, plus counter rates.
+ * (' .:-=+*#%@' for 0..100%), one row per track, then the AXI counter
+ * rate and the context-switch / migration counts, over @p buckets
+ * timeline columns.
  */
 void renderTimeline(std::ostream &os, const Tracer &tracer,
                     sim::TimeNs t0, sim::TimeNs t1,
-                    const RenderOptions &opts = {});
-
-/** Dump all intervals as CSV (track,label,begin_ns,end_ns). */
-void renderIntervalsCsv(std::ostream &os, const Tracer &tracer);
+                    std::size_t buckets);
 
 } // namespace aitax::trace
 

@@ -168,58 +168,6 @@ Tracer::counterSampleCount() const
     return n;
 }
 
-std::vector<Interval>
-Tracer::intervals(std::string_view track) const
-{
-    std::vector<Interval> out;
-    const TrackId id = findTrack(track);
-    if (!id.valid())
-        return out;
-    const TrackStore &t = tracks_[id.value];
-    out.reserve(t.size());
-    for (std::size_t i = 0; i < t.size(); ++i)
-        out.push_back(
-            {labelNames_[t.labels[i].value], t.begins[i], t.ends[i]});
-    return out;
-}
-
-std::vector<PointEvent>
-Tracer::events() const
-{
-    std::vector<PointEvent> out;
-    out.reserve(events_.size());
-    for (std::size_t i = 0; i < events_.size(); ++i)
-        out.push_back({kindNames_[events_.kinds[i].value],
-                       labelNames_[events_.details[i].value],
-                       events_.whens[i]});
-    return out;
-}
-
-std::vector<CounterSample>
-Tracer::counter(std::string_view name) const
-{
-    std::vector<CounterSample> out;
-    const CounterId id = findCounter(name);
-    if (!id.valid())
-        return out;
-    const CounterStore &c = counters_[id.value];
-    out.reserve(c.size());
-    for (std::size_t i = 0; i < c.size(); ++i)
-        out.push_back({c.whens[i], c.values[i]});
-    return out;
-}
-
-std::vector<std::string>
-Tracer::trackNames() const
-{
-    std::vector<std::string> names;
-    const auto ids = sortedNonEmptyTracks();
-    names.reserve(ids.size());
-    for (TrackId id : ids)
-        names.push_back(trackNames_[id.value]);
-    return names;
-}
-
 std::int64_t
 Tracer::countEvents(std::string_view kind) const
 {

@@ -9,12 +9,12 @@
  * utilization series and rendered as text.
  *
  * Storage is interned and columnar: strings are resolved to ids once
- * (components do this at construction), and the steady-state record
- * path is three array appends — no string compares, no per-event
- * allocations once capacity has grown. The string-based record
- * overloads remain as thin wrappers over the interner, so the probe
- * effect of our own instrumentation stays negligible (Section III-D
- * is about exactly this failure mode).
+ * (components do this at construction), and the only record path is
+ * three array appends keyed by those ids — no string compares, no
+ * per-event allocations once capacity has grown — so the probe effect
+ * of our own instrumentation stays negligible (Section III-D is about
+ * exactly this failure mode). Raw data is read back only through the
+ * same columnar stores.
  */
 
 #ifndef AITAX_TRACE_TRACER_H
@@ -32,29 +32,6 @@
 #include "trace/ids.h"
 
 namespace aitax::trace {
-
-/** A busy interval on a track (materialized legacy view). */
-struct Interval
-{
-    std::string label; ///< task/job name
-    sim::TimeNs begin = 0;
-    sim::TimeNs end = 0;
-};
-
-/** A timestamped point event (materialized legacy view). */
-struct PointEvent
-{
-    std::string kind; ///< e.g. "context_switch", "migration"
-    std::string detail;
-    sim::TimeNs when = 0;
-};
-
-/** A timestamped counter increment (e.g. bytes moved on AXI). */
-struct CounterSample
-{
-    sim::TimeNs when = 0;
-    double value = 0.0;
-};
 
 /**
  * Collects intervals/events/counters during a simulation run.
@@ -169,7 +146,7 @@ class Tracer
     CounterId findCounter(std::string_view name) const;
     EventKindId findEventKind(std::string_view kind) const;
 
-    // --- Zero-allocation record path ---------------------------------
+    // --- Record path --------------------------------------------------
     // Steady state (capacity grown) performs no heap allocation and no
     // string compares; asserted by tests/test_trace_alloc.cc.
 
@@ -209,36 +186,6 @@ class Tracer
         c.values.push_back(value);
     }
 
-    // --- Legacy string record API (thin wrappers over interning) -----
-
-    void
-    recordInterval(std::string_view track, std::string_view label,
-                   sim::TimeNs begin, sim::TimeNs end)
-    {
-        if (!enabled || end <= begin)
-            return;
-        recordInterval(internTrack(track), internLabel(label), begin,
-                       end);
-    }
-
-    void
-    recordEvent(std::string_view kind, std::string_view detail,
-                sim::TimeNs when)
-    {
-        if (!enabled)
-            return;
-        recordEvent(internEventKind(kind), internLabel(detail), when);
-    }
-
-    void
-    recordCounter(std::string_view counter, sim::TimeNs when,
-                  double value)
-    {
-        if (!enabled)
-            return;
-        recordCounter(internCounter(counter), when, value);
-    }
-
     /**
      * Drop all recorded data but keep interned ids valid and retain
      * vector capacity, so a cleared tracer records without
@@ -257,14 +204,7 @@ class Tracer
      */
     void cloneFrom(const Tracer &src);
 
-    /**
-     * Release thread ownership (audited builds): the next audited
-     * record/intern rebinds the tracer to its new owning thread. Only
-     * for deliberate handoffs between construction and use.
-     */
-    void auditReleaseOwner() { owner_.release(); }
-
-    // --- Columnar read API (writers, renderers, benchmarks) ----------
+    // --- Columnar read API --------------------------------------------
 
     std::size_t trackCount() const { return tracks_.size(); }
     const TrackStore &track(TrackId id) const { return tracks_[id.value]; }
@@ -298,17 +238,7 @@ class Tracer
     std::size_t eventCount() const { return events_.size(); }
     std::size_t counterSampleCount() const;
 
-    // --- Legacy read API (materializing; test/render convenience) ----
-
-    /** Intervals of a track with labels resolved; empty if unknown. */
-    std::vector<Interval> intervals(std::string_view track) const;
-    /** All point events with kind/detail resolved. */
-    std::vector<PointEvent> events() const;
-    /** Samples of a counter; empty if unknown. */
-    std::vector<CounterSample> counter(std::string_view name) const;
-
-    /** Names of all tracks with recorded intervals, sorted. */
-    std::vector<std::string> trackNames() const;
+    // --- Analytics (renderer API, keyed by name) ---------------------
 
     /** Count events of a given kind (maintained at record time). */
     std::int64_t countEvents(std::string_view kind) const;

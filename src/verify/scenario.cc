@@ -252,9 +252,7 @@ collectResult(soc::SocSystem &sys, const app::Application &application,
         return;
     out.rpcLog = application.rpcLog();
     out.frameLog = application.frameLog();
-    std::ostringstream trace;
-    trace::writeChromeTrace(trace, sys.tracer());
-    out.chromeTraceJson = trace.str();
+    out.chromeTraceJson = trace::chromeTraceString(sys.tracer());
 }
 
 /**

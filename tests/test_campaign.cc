@@ -18,9 +18,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include <sys/wait.h>
 
 #include "sim/random.h"
 #include "stats/distribution.h"
@@ -365,6 +368,34 @@ TEST(CampaignSpec, NumbersMustConsumeTheWholeValue)
         EXPECT_FALSE(sweep::parseSpecNumber("runs", bad, n, &err)) << bad;
         EXPECT_EQ(n, 7) << bad;
     }
+}
+
+// --- aitax_cli numeric flags ----------------------------------------
+
+/** Exit status of `aitax_cli <args>` (output discarded); -1 if killed. */
+int
+cliExitStatus(const std::string &args)
+{
+    const std::string cmd =
+        std::string(AITAX_CLI_PATH) + " " + args + " >/dev/null 2>&1";
+    const int status = std::system(cmd.c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(CampaignCli, MalformedNumericFlagsAreUsageErrors)
+{
+    // Every numeric flag must be one whole number, as in a campaign
+    // spec; a malformed value is the subcommand's usage error (exit 2)
+    // instead of whatever prefix std::atoi/atof would have read.
+    EXPECT_EQ(cliExitStatus("campaign --scenarios 64x"), 2);
+    EXPECT_EQ(cliExitStatus("campaign --scenarios 8 --worker-deadline 5s"),
+              2);
+    EXPECT_EQ(cliExitStatus("campaign --scenarios 8 --seed -1"), 2);
+    EXPECT_EQ(cliExitStatus("sweep-serve --accept 0 --listen abc"), 2);
+    EXPECT_EQ(cliExitStatus("serve --listen 0 --accept 0 --jobs 1x"), 2);
+    EXPECT_EQ(cliExitStatus("--runs 3x"), 2);
+    // Well-formed values still parse (no connection is accepted).
+    EXPECT_EQ(cliExitStatus("serve --listen 0 --accept 0 --jobs 1"), 0);
 }
 
 } // namespace

@@ -472,7 +472,8 @@ TEST(Fig6, NnapiFallbackShowsSingleThreadedCpuAndMigrations)
     EXPECT_GT(sys.scheduler().migrations(), 0);
     // The render path produces a non-empty timeline.
     std::ostringstream os;
-    trace::renderTimeline(os, sys.tracer(), 0, sys.simulator().now());
+    trace::renderTimeline(os, sys.tracer(), 0, sys.simulator().now(),
+                          60);
     EXPECT_NE(os.str().find("cpu4"), std::string::npos);
 }
 
@@ -489,9 +490,14 @@ TEST(Fig6, HexagonRunShowsDspUtilization)
     app.scheduleRuns(10, report);
     sys.run();
     EXPECT_EQ(sys.dsp().jobsCompleted(), 10);
-    EXPECT_FALSE(sys.tracer().intervals("Hexagon 685").empty());
+    const trace::Tracer &tracer = sys.tracer();
+    const trace::TrackId dsp = tracer.findTrack("Hexagon 685");
+    ASSERT_TRUE(dsp.valid());
+    EXPECT_FALSE(tracer.track(dsp).empty());
     // AXI counter saw traffic.
-    EXPECT_FALSE(sys.tracer().counter("axi_bytes").empty());
+    const trace::CounterId axi = tracer.findCounter("axi_bytes");
+    ASSERT_TRUE(axi.valid());
+    EXPECT_FALSE(tracer.counterStore(axi).empty());
 }
 
 } // namespace

@@ -257,15 +257,18 @@ TEST(Properties, BusyTimeNeverExceedsWallClockPerCore)
     application.scheduleRuns(10, report);
     const sim::TimeNs end = sys.run();
 
-    for (const auto &track : sys.tracer().trackNames()) {
+    const trace::Tracer &tracer = sys.tracer();
+    for (const trace::TrackId id : tracer.sortedNonEmptyTracks()) {
+        const std::string &track = tracer.trackName(id);
+        const trace::Tracer::TrackStore &ivs = tracer.track(id);
         sim::DurationNs busy = 0;
         sim::TimeNs last_end = 0;
-        for (const auto &iv : sys.tracer().intervals(track)) {
-            EXPECT_LE(iv.begin, iv.end) << track;
+        for (std::size_t i = 0; i < ivs.size(); ++i) {
+            EXPECT_LE(ivs.begins[i], ivs.ends[i]) << track;
             // Intervals on one resource must not overlap.
-            EXPECT_GE(iv.begin, last_end) << track;
-            last_end = iv.end;
-            busy += iv.end - iv.begin;
+            EXPECT_GE(ivs.begins[i], last_end) << track;
+            last_end = ivs.ends[i];
+            busy += ivs.ends[i] - ivs.begins[i];
         }
         EXPECT_LE(busy, end) << track;
     }

@@ -301,10 +301,11 @@ TEST(Scheduler, TracksCoreIntervals)
     task->compute({3.64e6, 0.0}, WorkClass::Scalar);
     sys.scheduler().submit(task);
     sys.run();
+    const trace::Tracer &tracer = sys.tracer();
     bool found = false;
-    for (const auto &name : sys.tracer().trackNames())
-        for (const auto &iv : sys.tracer().intervals(name))
-            found |= (iv.label == "traced");
+    for (const trace::TrackId id : tracer.sortedNonEmptyTracks())
+        for (const trace::LabelId label : tracer.track(id).labels)
+            found |= (tracer.labelName(label) == "traced");
     EXPECT_TRUE(found);
 }
 

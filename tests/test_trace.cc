@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "trace/chrome_trace.h"
 #include "trace/render.h"
@@ -14,43 +17,93 @@
 namespace aitax::trace {
 namespace {
 
+// Test-local shorthands: intern by name, then take the id path.
+
+void
+interval(Tracer &t, std::string_view track, std::string_view label,
+         sim::TimeNs begin, sim::TimeNs end)
+{
+    t.recordInterval(t.internTrack(track), t.internLabel(label), begin,
+                     end);
+}
+
+void
+event(Tracer &t, std::string_view kind, std::string_view detail,
+      sim::TimeNs when)
+{
+    t.recordEvent(t.internEventKind(kind), t.internLabel(detail), when);
+}
+
+void
+sample(Tracer &t, std::string_view counter, sim::TimeNs when,
+       double value)
+{
+    t.recordCounter(t.internCounter(counter), when, value);
+}
+
+/** Intervals on @p track (0 if never interned). */
+std::size_t
+intervalsOn(const Tracer &t, std::string_view track)
+{
+    const TrackId id = t.findTrack(track);
+    return id.valid() ? t.track(id).size() : 0;
+}
+
+/** Samples of @p counter (0 if never interned). */
+std::size_t
+samplesOf(const Tracer &t, std::string_view counter)
+{
+    const CounterId id = t.findCounter(counter);
+    return id.valid() ? t.counterStore(id).size() : 0;
+}
+
+/** Names of the tracks holding intervals, in reader (sorted) order. */
+std::vector<std::string>
+nonEmptyTrackNames(const Tracer &t)
+{
+    std::vector<std::string> names;
+    for (TrackId id : t.sortedNonEmptyTracks())
+        names.push_back(t.trackName(id));
+    return names;
+}
+
 TEST(Tracer, RecordsIntervals)
 {
     Tracer t;
-    t.recordInterval("cpu0", "task", 100, 200);
-    t.recordInterval("cpu0", "task2", 300, 400);
-    t.recordInterval("cpu1", "other", 0, 50);
-    EXPECT_EQ(t.intervals("cpu0").size(), 2u);
-    EXPECT_EQ(t.intervals("cpu1").size(), 1u);
-    EXPECT_TRUE(t.intervals("gpu").empty());
+    interval(t, "cpu0", "task", 100, 200);
+    interval(t, "cpu0", "task2", 300, 400);
+    interval(t, "cpu1", "other", 0, 50);
+    EXPECT_EQ(intervalsOn(t, "cpu0"), 2u);
+    EXPECT_EQ(intervalsOn(t, "cpu1"), 1u);
+    EXPECT_EQ(intervalsOn(t, "gpu"), 0u);
 }
 
 TEST(Tracer, DropsEmptyIntervals)
 {
     Tracer t;
-    t.recordInterval("cpu0", "x", 100, 100);
-    t.recordInterval("cpu0", "y", 100, 90);
-    EXPECT_TRUE(t.intervals("cpu0").empty());
+    interval(t, "cpu0", "x", 100, 100);
+    interval(t, "cpu0", "y", 100, 90);
+    EXPECT_EQ(intervalsOn(t, "cpu0"), 0u);
 }
 
 TEST(Tracer, DisabledCollectsNothing)
 {
     Tracer t;
     t.setEnabled(false);
-    t.recordInterval("cpu0", "x", 0, 10);
-    t.recordEvent("migration", "x", 5);
-    t.recordCounter("axi_bytes", 5, 100.0);
-    EXPECT_TRUE(t.intervals("cpu0").empty());
-    EXPECT_TRUE(t.events().empty());
-    EXPECT_TRUE(t.counter("axi_bytes").empty());
+    interval(t, "cpu0", "x", 0, 10);
+    event(t, "migration", "x", 5);
+    sample(t, "axi_bytes", 5, 100.0);
+    EXPECT_EQ(intervalsOn(t, "cpu0"), 0u);
+    EXPECT_EQ(t.eventCount(), 0u);
+    EXPECT_EQ(samplesOf(t, "axi_bytes"), 0u);
 }
 
 TEST(Tracer, TrackNamesSorted)
 {
     Tracer t;
-    t.recordInterval("zeta", "x", 0, 1);
-    t.recordInterval("alpha", "x", 0, 1);
-    const auto names = t.trackNames();
+    interval(t, "zeta", "x", 0, 1);
+    interval(t, "alpha", "x", 0, 1);
+    const auto names = nonEmptyTrackNames(t);
     ASSERT_EQ(names.size(), 2u);
     EXPECT_EQ(names[0], "alpha");
     EXPECT_EQ(names[1], "zeta");
@@ -59,9 +112,9 @@ TEST(Tracer, TrackNamesSorted)
 TEST(Tracer, CountEvents)
 {
     Tracer t;
-    t.recordEvent("migration", "a", 1);
-    t.recordEvent("migration", "b", 2);
-    t.recordEvent("context_switch", "c", 3);
+    event(t, "migration", "a", 1);
+    event(t, "migration", "b", 2);
+    event(t, "context_switch", "c", 3);
     EXPECT_EQ(t.countEvents("migration"), 2);
     EXPECT_EQ(t.countEvents("context_switch"), 1);
     EXPECT_EQ(t.countEvents("nothing"), 0);
@@ -70,7 +123,7 @@ TEST(Tracer, CountEvents)
 TEST(Tracer, UtilizationFullyBusy)
 {
     Tracer t;
-    t.recordInterval("cpu0", "x", 0, 1000);
+    interval(t, "cpu0", "x", 0, 1000);
     const auto u = t.utilization("cpu0", 0, 1000, 4);
     ASSERT_EQ(u.size(), 4u);
     for (double v : u)
@@ -80,7 +133,7 @@ TEST(Tracer, UtilizationFullyBusy)
 TEST(Tracer, UtilizationHalfBusy)
 {
     Tracer t;
-    t.recordInterval("cpu0", "x", 0, 500);
+    interval(t, "cpu0", "x", 0, 500);
     const auto u = t.utilization("cpu0", 0, 1000, 2);
     EXPECT_NEAR(u[0], 1.0, 1e-9);
     EXPECT_NEAR(u[1], 0.0, 1e-9);
@@ -89,7 +142,7 @@ TEST(Tracer, UtilizationHalfBusy)
 TEST(Tracer, UtilizationPartialBucketOverlap)
 {
     Tracer t;
-    t.recordInterval("cpu0", "x", 250, 750);
+    interval(t, "cpu0", "x", 250, 750);
     const auto u = t.utilization("cpu0", 0, 1000, 2);
     EXPECT_NEAR(u[0], 0.5, 1e-9);
     EXPECT_NEAR(u[1], 0.5, 1e-9);
@@ -98,8 +151,8 @@ TEST(Tracer, UtilizationPartialBucketOverlap)
 TEST(Tracer, UtilizationClampsOverlappingIntervals)
 {
     Tracer t;
-    t.recordInterval("cpu0", "a", 0, 1000);
-    t.recordInterval("cpu0", "b", 0, 1000);
+    interval(t, "cpu0", "a", 0, 1000);
+    interval(t, "cpu0", "b", 0, 1000);
     const auto u = t.utilization("cpu0", 0, 1000, 2);
     for (double v : u)
         EXPECT_LE(v, 1.0);
@@ -108,9 +161,9 @@ TEST(Tracer, UtilizationClampsOverlappingIntervals)
 TEST(Tracer, CounterRateBuckets)
 {
     Tracer t;
-    t.recordCounter("axi_bytes", 100, 10.0);
-    t.recordCounter("axi_bytes", 150, 5.0);
-    t.recordCounter("axi_bytes", 900, 7.0);
+    sample(t, "axi_bytes", 100, 10.0);
+    sample(t, "axi_bytes", 150, 5.0);
+    sample(t, "axi_bytes", 900, 7.0);
     const auto r = t.counterRate("axi_bytes", 0, 1000, 2);
     EXPECT_DOUBLE_EQ(r[0], 15.0);
     EXPECT_DOUBLE_EQ(r[1], 7.0);
@@ -119,7 +172,7 @@ TEST(Tracer, CounterRateBuckets)
 TEST(Tracer, CounterIgnoresOutOfWindow)
 {
     Tracer t;
-    t.recordCounter("axi_bytes", 2000, 99.0);
+    sample(t, "axi_bytes", 2000, 99.0);
     const auto r = t.counterRate("axi_bytes", 0, 1000, 2);
     EXPECT_DOUBLE_EQ(r[0] + r[1], 0.0);
 }
@@ -127,22 +180,22 @@ TEST(Tracer, CounterIgnoresOutOfWindow)
 TEST(Tracer, ClearResets)
 {
     Tracer t;
-    t.recordInterval("cpu0", "x", 0, 10);
-    t.recordEvent("migration", "x", 1);
+    interval(t, "cpu0", "x", 0, 10);
+    event(t, "migration", "x", 1);
     t.clear();
-    EXPECT_TRUE(t.intervals("cpu0").empty());
-    EXPECT_TRUE(t.events().empty());
+    EXPECT_EQ(intervalsOn(t, "cpu0"), 0u);
+    EXPECT_EQ(t.eventCount(), 0u);
 }
 
 TEST(Render, TimelineShowsTracksAndCounts)
 {
     Tracer t;
-    t.recordInterval("cpu0", "x", 0, 500'000);
-    t.recordInterval("cDSP", "job", 250'000, 750'000);
-    t.recordEvent("context_switch", "x", 100);
-    t.recordEvent("migration", "x", 200);
+    interval(t, "cpu0", "x", 0, 500'000);
+    interval(t, "cDSP", "job", 250'000, 750'000);
+    event(t, "context_switch", "x", 100);
+    event(t, "migration", "x", 200);
     std::ostringstream os;
-    renderTimeline(os, t, 0, 1'000'000, {.buckets = 10});
+    renderTimeline(os, t, 0, 1'000'000, 10);
     const std::string out = os.str();
     EXPECT_NE(out.find("cpu0"), std::string::npos);
     EXPECT_NE(out.find("cDSP"), std::string::npos);
@@ -153,43 +206,18 @@ TEST(Render, TimelineShowsTracksAndCounts)
 TEST(Render, TimelineShowsCounterRow)
 {
     Tracer t;
-    t.recordInterval("cpu0", "x", 0, 100);
-    t.recordCounter("axi_bytes", 50, 1e6);
+    interval(t, "cpu0", "x", 0, 100);
+    sample(t, "axi_bytes", 50, 1e6);
     std::ostringstream os;
-    renderTimeline(os, t, 0, 100, {.buckets = 4});
+    renderTimeline(os, t, 0, 100, 4);
     EXPECT_NE(os.str().find("axi_bytes"), std::string::npos);
-}
-
-TEST(Render, OptionsCanSuppressCountersAndEvents)
-{
-    Tracer t;
-    t.recordInterval("cpu0", "x", 0, 100);
-    t.recordCounter("axi_bytes", 50, 1e6);
-    t.recordEvent("migration", "x", 10);
-    std::ostringstream os;
-    RenderOptions opts;
-    opts.buckets = 4;
-    opts.showCounters = false;
-    opts.showEventCounts = false;
-    renderTimeline(os, t, 0, 100, opts);
-    EXPECT_EQ(os.str().find("axi_bytes"), std::string::npos);
-    EXPECT_EQ(os.str().find("migrations"), std::string::npos);
-}
-
-TEST(Render, CsvListsIntervals)
-{
-    Tracer t;
-    t.recordInterval("cpu0", "taskA", 1, 2);
-    std::ostringstream os;
-    renderIntervalsCsv(os, t);
-    EXPECT_NE(os.str().find("cpu0,taskA,1,2"), std::string::npos);
 }
 
 TEST(ChromeTrace, EmitsValidEventArray)
 {
     Tracer t;
-    t.recordInterval("cpu0", "taskA", 1000, 3000);
-    t.recordEvent("migration", "taskA", 1500);
+    interval(t, "cpu0", "taskA", 1000, 3000);
+    event(t, "migration", "taskA", 1500);
     std::ostringstream os;
     writeChromeTrace(os, t);
     const std::string out = os.str();
@@ -205,7 +233,7 @@ TEST(ChromeTrace, EmitsValidEventArray)
 TEST(ChromeTrace, EscapesSpecialCharacters)
 {
     Tracer t;
-    t.recordInterval("cpu0", "with\"quote", 0, 10);
+    interval(t, "cpu0", "with\"quote", 0, 10);
     std::ostringstream os;
     writeChromeTrace(os, t);
     EXPECT_NE(os.str().find("with\\\"quote"), std::string::npos);
@@ -225,9 +253,9 @@ TEST(ChromeTrace, EscapesControlCharacters)
     // Raw \t, \r and other sub-0x20 bytes in a label used to pass
     // through unescaped, emitting invalid JSON.
     Tracer t;
-    t.recordInterval("cpu0", "tab\there", 0, 10);
-    t.recordInterval("cpu0", "cr\rlf\n", 20, 30);
-    t.recordInterval("cpu0", std::string("ctl\x01\x1f"), 40, 50);
+    interval(t, "cpu0", "tab\there", 0, 10);
+    interval(t, "cpu0", "cr\rlf\n", 20, 30);
+    interval(t, "cpu0", std::string("ctl\x01\x1f"), 40, 50);
     const std::string out = chromeTraceString(t);
     EXPECT_NE(out.find("tab\\there"), std::string::npos);
     EXPECT_NE(out.find("cr\\rlf\\n"), std::string::npos);
@@ -242,8 +270,8 @@ TEST(ChromeTrace, EscapesControlCharacters)
 TEST(ChromeTrace, StringAndStreamWritersAgree)
 {
     Tracer t;
-    t.recordInterval("cpu0", "x", 1234, 5678901);
-    t.recordEvent("migration", "x", 42);
+    interval(t, "cpu0", "x", 1234, 5678901);
+    event(t, "migration", "x", 42);
     std::ostringstream os;
     writeChromeTrace(os, t);
     EXPECT_EQ(os.str(), chromeTraceString(t));
@@ -277,12 +305,12 @@ TEST(TracerIntern, FindDoesNotCreate)
 TEST(TracerIntern, EmptyTracksHiddenFromReaders)
 {
     // Components intern their tracks at construction; a track that
-    // never records must not appear in trackNames() or the chrome
-    // trace (goldens predate construction-time interning).
+    // never records must not appear in sortedNonEmptyTracks() or the
+    // chrome trace (goldens predate construction-time interning).
     Tracer t;
     t.internTrack("idle-core");
-    t.recordInterval("cpu0", "x", 0, 10);
-    const auto names = t.trackNames();
+    interval(t, "cpu0", "x", 0, 10);
+    const auto names = nonEmptyTrackNames(t);
     ASSERT_EQ(names.size(), 1u);
     EXPECT_EQ(names[0], "cpu0");
     EXPECT_EQ(chromeTraceString(t).find("idle-core"),
@@ -302,11 +330,11 @@ TEST(TracerIntern, IdOverloadsRecord)
     t.recordEvent(kind, label, 150);
     t.recordCounter(ctr, 150, 64.0);
 
-    const auto ivs = t.intervals("cpu0");
+    const Tracer::TrackStore &ivs = t.track(track);
     ASSERT_EQ(ivs.size(), 1u);
-    EXPECT_EQ(ivs[0].label, "job");
+    EXPECT_EQ(t.labelName(ivs.labels[0]), "job");
     EXPECT_EQ(t.countEvents("migration"), 1);
-    EXPECT_EQ(t.counter("axi_bytes").size(), 1u);
+    EXPECT_EQ(samplesOf(t, "axi_bytes"), 1u);
 }
 
 TEST(TracerIntern, IdOverloadsHonorDisabledAndEmpty)
@@ -330,15 +358,15 @@ TEST(TracerIntern, ClearKeepsIdsValid)
     const TrackId track = t.internTrack("cpu0");
     const LabelId label = t.internLabel("job");
     t.recordInterval(track, label, 0, 10);
-    t.recordEvent("migration", "job", 5);
+    event(t, "migration", "job", 5);
     t.clear();
     EXPECT_EQ(t.intervalCount(), 0u);
     EXPECT_EQ(t.countEvents("migration"), 0);
     // Ids interned before clear() still record correctly after.
     t.recordInterval(track, label, 20, 30);
-    const auto ivs = t.intervals("cpu0");
+    const Tracer::TrackStore &ivs = t.track(track);
     ASSERT_EQ(ivs.size(), 1u);
-    EXPECT_EQ(ivs[0].begin, 20);
+    EXPECT_EQ(ivs.begins[0], 20);
     EXPECT_EQ(t.findTrack("cpu0"), track);
 }
 

@@ -88,16 +88,22 @@ struct CountingScope
     }
 };
 
+/** recordBurst's layout: record i starts at i * kStepNs. */
+constexpr sim::TimeNs kStepNs = 200;
+constexpr sim::TimeNs kBusyNs = 100;
+constexpr sim::TimeNs kMarkNs = 50;
+constexpr double kSampleBytes = 64.0;
+
 void
 recordBurst(Tracer &t, TrackId track, LabelId label, EventKindId kind,
             CounterId ctr)
 {
     sim::TimeNs now = 0;
     for (int i = 0; i < kEvents; ++i) {
-        t.recordInterval(track, label, now, now + 100);
-        t.recordEvent(kind, label, now + 50);
-        t.recordCounter(ctr, now + 50, 64.0);
-        now += 200;
+        t.recordInterval(track, label, now, now + kBusyNs);
+        t.recordEvent(kind, label, now + kMarkNs);
+        t.recordCounter(ctr, now + kMarkNs, kSampleBytes);
+        now += kStepNs;
     }
 }
 
@@ -158,37 +164,76 @@ TEST(TraceAlloc, CloneToHeapTracerLeavesArenaBehind)
     // A warm-up snapshot's tracer is heap-owned and outlives per-run
     // arenas; cloneFrom must therefore deep-copy arena-backed columns
     // into heap storage. Destroy the arena before reading the clone —
-    // a leaked arena pointer would show up under ASan here.
+    // a leaked arena pointer would show up under ASan here, so every
+    // column of the clone is read back below.
     Tracer snapshot;
+    TrackId track;
+    LabelId label;
+    EventKindId kind;
     {
         sim::Arena arena;
         Tracer live(&arena);
-        recordBurst(live, live.internTrack("cpu0"),
-                    live.internLabel("job"),
-                    live.internEventKind("context_switch"),
+        track = live.internTrack("cpu0");
+        label = live.internLabel("job");
+        kind = live.internEventKind("context_switch");
+        recordBurst(live, track, label, kind,
                     live.internCounter("axi_bytes"));
         snapshot.cloneFrom(live);
         arena.reset();
     }
-    EXPECT_EQ(snapshot.intervalCount(),
-              static_cast<std::size_t>(kEvents));
-    EXPECT_EQ(snapshot.events().size(), static_cast<std::size_t>(kEvents));
-    const auto samples = snapshot.counter("axi_bytes");
-    ASSERT_EQ(samples.size(), static_cast<std::size_t>(kEvents));
-    EXPECT_EQ(samples.front().value, 64.0);
+    // cloneFrom keeps id assignment, so live's ids name the clone's
+    // entries too.
+    ASSERT_EQ(snapshot.findTrack("cpu0"), track);
+    ASSERT_EQ(snapshot.findEventKind("context_switch"), kind);
+    EXPECT_EQ(snapshot.labelName(label), "job");
+    const CounterId ctr = snapshot.findCounter("axi_bytes");
+    ASSERT_TRUE(ctr.valid());
+
+    const auto n = static_cast<std::size_t>(kEvents);
+    const Tracer::TrackStore &intervals = snapshot.track(track);
+    const Tracer::EventStore &events = snapshot.eventStore();
+    const Tracer::CounterStore &samples = snapshot.counterStore(ctr);
+    ASSERT_EQ(intervals.size(), n);
+    ASSERT_EQ(intervals.labels.size(), n);
+    ASSERT_EQ(intervals.ends.size(), n);
+    ASSERT_EQ(events.size(), n);
+    ASSERT_EQ(events.kinds.size(), n);
+    ASSERT_EQ(events.details.size(), n);
+    ASSERT_EQ(samples.size(), n);
+    ASSERT_EQ(samples.values.size(), n);
+
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const sim::TimeNs start = static_cast<sim::TimeNs>(i) * kStepNs;
+        const bool same =
+            intervals.labels[i] == label && intervals.begins[i] == start &&
+            intervals.ends[i] == start + kBusyNs &&
+            events.kinds[i] == kind && events.details[i] == label &&
+            events.whens[i] == start + kMarkNs &&
+            samples.whens[i] == start + kMarkNs &&
+            samples.values[i] == kSampleBytes;
+        if (!same && mismatches++ == 0)
+            ADD_FAILURE() << "clone differs from the recording at " << i;
+    }
+    EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(TraceAlloc, DisabledRecordingIsAllocationFree)
 {
-    // Disabled tracing must be free even through the string API — the
-    // wrappers check the enabled flag before touching the interner.
+    // Disabled tracing must be free even with cold (capacity-zero)
+    // stores: the record path checks the enabled flag before it
+    // touches a column, so nothing ever grows.
     Tracer t;
+    const TrackId track = t.internTrack("cpu0");
+    const LabelId label = t.internLabel("job");
+    const EventKindId kind = t.internEventKind("migration");
+    const CounterId ctr = t.internCounter("axi_bytes");
     t.setEnabled(false);
     CountingScope scope;
     for (int i = 0; i < 1000; ++i) {
-        t.recordInterval("cpu0", "job", i, i + 10);
-        t.recordEvent("migration", "job", i);
-        t.recordCounter("axi_bytes", i, 1.0);
+        t.recordInterval(track, label, i, i + 10);
+        t.recordEvent(kind, label, i);
+        t.recordCounter(ctr, i, 1.0);
     }
     EXPECT_EQ(scope.count(), 0u);
     EXPECT_EQ(t.intervalCount(), 0u);

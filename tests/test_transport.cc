@@ -24,6 +24,9 @@
  *     reclaimed chunk; a hung worker is killed by the liveness
  *     deadline; SIGPIPE disposition is restored on every exit path;
  *     and all protocol numbers survive a comma-decimal locale.
+ *
+ * The TCP frame codec both ends share (sweep/protocol.h) is checked
+ * directly: split delivery, empty frames and the payload cap.
  */
 
 #include <gtest/gtest.h>
@@ -44,6 +47,7 @@
 
 #include "stats/numfmt.h"
 #include "sweep/campaign.h"
+#include "sweep/protocol.h"
 
 #ifndef AITAX_CLI_PATH
 #error "build must define AITAX_CLI_PATH"
@@ -602,6 +606,74 @@ TEST(Locale, AggregateSerializationIsLocaleIndependent)
     EXPECT_TRUE(stats::parseDouble(p, v));
     EXPECT_EQ(v, 1.0);
     EXPECT_EQ(*p, ',');
+}
+
+// --- TCP frame codec -------------------------------------------------
+
+TEST(FrameCodec, ByteAtATimeFramesCompleteOnTheirLastByte)
+{
+    const std::vector<std::string> lines = {
+        "aitax-sweep-worker-v2 ready", "", "r 3 1.5 42",
+        std::string(300, 'x')};
+    std::string wire;
+    std::vector<std::size_t> frameEnds;
+    for (const std::string &l : lines) {
+        sweep::appendFrame(wire, l);
+        frameEnds.push_back(wire.size());
+    }
+    EXPECT_EQ(wire.substr(0, 4), std::string("\0\0\0\x1b", 4));
+
+    std::string raw;
+    std::string line;
+    std::size_t next = 0;
+    for (std::size_t i = 0; i < wire.size(); ++i) {
+        raw += wire[i];
+        if (i + 1 < frameEnds[next]) {
+            EXPECT_EQ(sweep::takeFrame(raw, line),
+                      sweep::FrameStatus::Incomplete)
+                << "byte " << i;
+            continue;
+        }
+        ASSERT_EQ(sweep::takeFrame(raw, line),
+                  sweep::FrameStatus::Complete)
+            << "byte " << i;
+        EXPECT_EQ(line, lines[next]);
+        EXPECT_TRUE(raw.empty());
+        ++next;
+    }
+    EXPECT_EQ(next, lines.size());
+}
+
+TEST(FrameCodec, ZeroLengthFrameDecodesToEmptyLine)
+{
+    std::string raw;
+    sweep::appendFrame(raw, "");
+    ASSERT_EQ(raw, std::string(4, '\0'));
+    sweep::appendFrame(raw, "quit");
+    std::string line = "stale";
+    ASSERT_EQ(sweep::takeFrame(raw, line), sweep::FrameStatus::Complete);
+    EXPECT_EQ(line, "");
+    ASSERT_EQ(sweep::takeFrame(raw, line), sweep::FrameStatus::Complete);
+    EXPECT_EQ(line, "quit");
+    EXPECT_TRUE(raw.empty());
+}
+
+TEST(FrameCodec, LengthAboveTheCapIsCorrupt)
+{
+    auto header = [](std::uint32_t len) {
+        std::string h;
+        for (int shift = 24; shift >= 0; shift -= 8)
+            h += static_cast<char>((len >> shift) & 0xff);
+        return h;
+    };
+    std::string line;
+    std::string raw = header(sweep::kMaxFramePayload + 1);
+    EXPECT_EQ(sweep::takeFrame(raw, line), sweep::FrameStatus::Corrupt);
+    // Exactly at the cap is legal: the frame just waits for its body.
+    raw = header(sweep::kMaxFramePayload);
+    EXPECT_EQ(sweep::takeFrame(raw, line),
+              sweep::FrameStatus::Incomplete);
+    EXPECT_EQ(raw.size(), 4u);
 }
 
 } // namespace

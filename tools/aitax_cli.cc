@@ -96,6 +96,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -103,8 +104,7 @@
 #include "app/pipeline.h"
 #include "faults/fault_plan.h"
 #include "soc/chipsets.h"
-#include <fstream>
-
+#include "stats/numfmt.h"
 #include "sweep/campaign.h"
 #include "sweep/serve.h"
 #include "sweep/snapshot_cache.h"
@@ -121,6 +121,38 @@
 namespace {
 
 using namespace aitax;
+
+/**
+ * Flag values for one subcommand's argv loop: next() returns the
+ * argument after argv[i] and advances i; number() parses it with
+ * stats::parseWhole, so "64x", "5s" and, for unsigned flags, "-1" are
+ * refused. A missing or malformed value calls @p usage, the
+ * subcommand's usage error (exit 2).
+ */
+template <typename Usage>
+struct FlagValues
+{
+    int argc;
+    char **argv;
+    int &i;
+    Usage usage;
+
+    const char *
+    next()
+    {
+        if (i + 1 >= argc)
+            usage();
+        return argv[++i];
+    }
+
+    template <typename T>
+    void
+    number(T &out)
+    {
+        if (!stats::parseWhole(next(), out))
+            usage();
+    }
+};
 
 [[noreturn]] void
 usage(const char *argv0)
@@ -293,29 +325,25 @@ verifyMain(int argc, char **argv)
 
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                verifyUsage();
-            return argv[++i];
-        };
+        FlagValues flag{argc, argv, i, verifyUsage};
         if (arg == "--update")
             update = true;
         else if (arg == "--golden-dir")
-            golden_dir = next();
+            golden_dir = flag.next();
         else if (arg == "--fuzz")
-            fuzz_count = std::atoi(next());
+            flag.number(fuzz_count);
         else if (arg == "--replay")
-            replay_index = std::atoi(next());
+            flag.number(replay_index);
         else if (arg == "--seed")
-            master_seed = static_cast<std::uint64_t>(std::atoll(next()));
+            flag.number(master_seed);
         else if (arg == "--jobs")
-            jobs = std::atoi(next());
+            flag.number(jobs);
         else if (arg == "--faults")
             fault_fuzz = true;
         else if (arg == "--stats")
             stats = true;
         else if (arg == "--engine") {
-            const std::string which = next();
+            const std::string which = flag.next();
             if (which == "fast")
                 engine = sim::EngineMode::Fast;
             else if (which == "reference")
@@ -447,29 +475,25 @@ sweepServeMain(int argc, char **argv)
 
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                campaignUsage();
-            return argv[++i];
-        };
+        FlagValues flag{argc, argv, i, campaignUsage};
         if (arg == "--seed")
-            master_seed = static_cast<std::uint64_t>(std::atoll(next()));
+            flag.number(master_seed);
         else if (arg == "--jobs")
-            opts.jobs = std::atoi(next());
+            flag.number(opts.jobs);
         else if (arg == "--faults")
             faults = true;
         else if (arg == "--exit-after")
-            opts.exitAfterRanges = std::atoi(next());
+            flag.number(opts.exitAfterRanges);
         else if (arg == "--listen")
-            listen_port = std::atoi(next());
+            flag.number(listen_port);
         else if (arg == "--bind")
-            bind_addr = next();
+            bind_addr = flag.next();
         else if (arg == "--accept")
-            accept_limit = std::atoi(next());
+            flag.number(accept_limit);
         else if (arg == "--port-file")
-            port_file = next();
+            port_file = flag.next();
         else if (arg == "--engine") {
-            const std::string which = next();
+            const std::string which = flag.next();
             if (which == "fast")
                 engine = sim::EngineMode::Fast;
             else if (which == "reference")
@@ -481,15 +505,11 @@ sweepServeMain(int argc, char **argv)
     }
     if (opts.jobs <= 0)
         opts.jobs = 1;
-    if (listen_port >= 0) {
-        sweep::ServeOptions so;
-        so.jobs = opts.jobs;
-        so.exitAfterRanges = opts.exitAfterRanges;
+    if (listen_port >= 0)
         return sweep::serveTcpWorker(
-            bind_addr, listen_port, so,
+            bind_addr, listen_port, opts,
             fuzzScenarioFn(master_seed, faults, engine),
             fuzzSpecResolver(), accept_limit, port_file);
-    }
     return sweep::runWorker(opts,
                             fuzzScenarioFn(master_seed, faults, engine),
                             fuzzSpecResolver());
@@ -503,21 +523,17 @@ serveMain(int argc, char **argv)
 
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                campaignUsage();
-            return argv[++i];
-        };
+        FlagValues flag{argc, argv, i, campaignUsage};
         if (arg == "--listen")
-            opts.port = std::atoi(next());
+            flag.number(opts.port);
         else if (arg == "--bind")
-            opts.bindAddr = next();
+            opts.bindAddr = flag.next();
         else if (arg == "--jobs")
-            opts.jobs = std::atoi(next());
+            flag.number(opts.jobs);
         else if (arg == "--accept")
-            opts.acceptLimit = std::atoi(next());
+            flag.number(opts.acceptLimit);
         else if (arg == "--port-file")
-            opts.portFile = next();
+            opts.portFile = flag.next();
         else
             campaignUsage();
     }
@@ -544,43 +560,39 @@ campaignMain(int argc, char **argv)
 
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                campaignUsage();
-            return argv[++i];
-        };
+        FlagValues flag{argc, argv, i, campaignUsage};
         if (arg == "--scenarios")
-            cfg.scenarios = std::atoi(next());
+            flag.number(cfg.scenarios);
         else if (arg == "--shards")
-            cfg.shards = std::atoi(next());
+            flag.number(cfg.shards);
         else if (arg == "--jobs")
-            jobs = std::atoi(next());
+            flag.number(jobs);
         else if (arg == "--seed")
-            master_seed = static_cast<std::uint64_t>(std::atoll(next()));
+            flag.number(master_seed);
         else if (arg == "--chunk")
-            cfg.chunk = std::atoi(next());
+            flag.number(cfg.chunk);
         else if (arg == "--faults")
             faults = true;
         else if (arg == "--engine") {
-            engine = next();
+            engine = flag.next();
             if (engine != "fast" && engine != "reference")
                 campaignUsage();
         } else if (arg == "--checkpoint")
-            cfg.checkpointPath = next();
+            cfg.checkpointPath = flag.next();
         else if (arg == "--resume")
             cfg.resume = true;
         else if (arg == "--out")
-            out_path = next();
+            out_path = flag.next();
         else if (arg == "--stats")
             stats = true;
         else if (arg == "--gate")
-            gate_eps = std::atof(next());
+            flag.number(gate_eps);
         else if (arg == "--stop-after-chunks")
-            cfg.stopAfterChunks = std::atoi(next());
+            flag.number(cfg.stopAfterChunks);
         else if (arg == "--kill-worker-after")
-            cfg.killWorkerAfterRanges = std::atoi(next());
+            flag.number(cfg.killWorkerAfterRanges);
         else if (arg == "--workers") {
-            const std::string list = next();
+            const std::string list = flag.next();
             std::size_t pos = 0;
             while (pos <= list.size()) {
                 std::size_t comma = list.find(',', pos);
@@ -594,7 +606,7 @@ campaignMain(int argc, char **argv)
             if (cfg.workers.empty())
                 campaignUsage();
         } else if (arg == "--worker-deadline")
-            cfg.workerDeadlineSeconds = std::atof(next());
+            flag.number(cfg.workerDeadlineSeconds);
         else
             campaignUsage();
     }
@@ -607,8 +619,6 @@ campaignMain(int argc, char **argv)
                    " chunk=" + std::to_string(cfg.chunk) +
                    " faults=" + (faults ? "1" : "0") +
                    " engine=" + engine;
-    // Workers resolve the corpus from the spec (protocol v2); keeping
-    // the argv flags too means a v1 worker over pipes still works.
     cfg.corpusSpec = cfg.identity;
     cfg.workerCmd = {sweep::selfExecutablePath(argv[0]),
                      "sweep-serve",
@@ -724,27 +734,23 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                usage(argv[0]);
-            return argv[++i];
-        };
+        FlagValues flag{argc, argv, i, [&] { usage(argv[0]); }};
         if (arg == "--model")
-            model = next();
+            model = flag.next();
         else if (arg == "--dtype")
-            dtype = next();
+            dtype = flag.next();
         else if (arg == "--framework")
-            framework = next();
+            framework = flag.next();
         else if (arg == "--mode")
-            mode = next();
+            mode = flag.next();
         else if (arg == "--soc")
-            soc_name = next();
+            soc_name = flag.next();
         else if (arg == "--runs")
-            runs = std::atoi(next());
+            flag.number(runs);
         else if (arg == "--threads")
-            threads = std::atoi(next());
+            flag.number(threads);
         else if (arg == "--seed")
-            seed = static_cast<std::uint64_t>(std::atoll(next()));
+            flag.number(seed);
         else if (arg == "--instrument")
             instrument = true;
         else if (arg == "--pre-on-dsp")
@@ -752,11 +758,11 @@ main(int argc, char **argv)
         else if (arg == "--streaming")
             streaming = true;
         else if (arg == "--faults")
-            faults_spec = next();
+            faults_spec = flag.next();
         else if (arg == "--timeline")
             timeline = true;
         else if (arg == "--chrome-trace")
-            chrome_trace_path = next();
+            chrome_trace_path = flag.next();
         else if (arg == "--energy")
             energy = true;
         else if (arg == "--stats")
@@ -890,9 +896,7 @@ main(int argc, char **argv)
 
     if (timeline && done > 0) {
         std::printf("\n");
-        trace::RenderOptions opts;
-        opts.buckets = 72;
-        trace::renderTimeline(std::cout, sys.tracer(), 0, done, opts);
+        trace::renderTimeline(std::cout, sys.tracer(), 0, done, 72);
     }
     return 0;
 }
