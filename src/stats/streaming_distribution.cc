@@ -255,14 +255,16 @@ StreamingDistribution::deserialize(std::string_view text,
         return fail("missing sd1 header");
     const std::string s(text.substr(4));
     const char *p = s.c_str();
+    const char *const stop = p + s.size();
 
-    auto expect = [&p](const char *tag) {
-        const std::size_t n = std::char_traits<char>::length(tag);
+    // Bounded by the text left: a torn line may end inside a tag.
+    auto expect = [&p, stop](std::string_view tag) {
         while (*p == ' ')
             ++p;
-        if (std::string_view(p, n) != tag)
+        if (!std::string_view(p, static_cast<std::size_t>(stop - p))
+                 .starts_with(tag))
             return false;
-        p += n;
+        p += tag.size();
         return true;
     };
 

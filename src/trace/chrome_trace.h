@@ -6,9 +6,11 @@
  * JSON format, loadable in chrome://tracing or Perfetto — the closest
  * open equivalent to browsing a Snapdragon Profiler capture.
  *
- * Serialization streams the columnar store into one output buffer —
- * no per-field temporaries. The byte format is pinned by the recorded
- * fixture tests/trace_fixtures/chrome_trace.json
+ * Serialization streams the columnar store into one output buffer
+ * that never regrows (chrome_trace.cc says how). Numbers are printed
+ * by std::to_chars, so the bytes do not depend on the global locale.
+ * The byte format ("ts"/"dur" as printf "%g" of microseconds) is
+ * pinned by the recorded fixture tests/trace_fixtures/chrome_trace.json
  * (TraceEquiv.StreamingWriterMatchesFixtureBytes).
  */
 

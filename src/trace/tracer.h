@@ -216,10 +216,14 @@ class Tracer
     std::vector<TrackId> sortedNonEmptyTracks() const;
 
     const EventStore &eventStore() const { return events_; }
+    /** Interned labels: ids 0 .. labelCount() - 1. */
+    std::size_t labelCount() const { return labelNames_.size(); }
     const std::string &labelName(LabelId id) const
     {
         return labelNames_[id.value];
     }
+    /** Interned event kinds: ids 0 .. eventKindCount() - 1. */
+    std::size_t eventKindCount() const { return kindNames_.size(); }
     const std::string &eventKindName(EventKindId id) const
     {
         return kindNames_[id.value];

@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -165,6 +166,27 @@ TEST(StreamingDistribution, SerializeRoundTripsBitExactly)
     EXPECT_FALSE(stats::StreamingDistribution::deserialize(
         "sd1 c=2 s=1 q=1 lo=1 hi=1 b=0:1", back, &err))
         << "bucket total disagreeing with count must be rejected";
+}
+
+TEST(StreamingDistribution, DeserializeEveryPrefixIsSafe)
+{
+    // A torn sd1 line (a crash mid-write, a short frame) must be
+    // refused, or parse to the sketch it was cut from; it must never
+    // read past its own text. Under ASan the parser's copy of each
+    // prefix is an exact-size heap block, so an over-read trips here.
+    const auto d = sketchOf(seededSamples(9, 2000));
+    const std::string line = d.serialize();
+    for (std::size_t n = 0; n <= line.size(); ++n) {
+        stats::StreamingDistribution back;
+        std::string err;
+        if (stats::StreamingDistribution::deserialize(
+                std::string_view(line).substr(0, n), back, &err))
+            EXPECT_TRUE(back.identicalTo(d)) << "prefix of " << n;
+        else
+            EXPECT_FALSE(err.empty()) << "prefix of " << n;
+    }
+    stats::StreamingDistribution whole;
+    EXPECT_TRUE(stats::StreamingDistribution::deserialize(line, whole));
 }
 
 // --- Campaigns over the real sweep-serve worker ----------------------

@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "sim/random.h"
 #include "trace/chrome_trace.h"
 #include "trace/render.h"
 #include "trace/tracer.h"
@@ -275,6 +277,52 @@ TEST(ChromeTrace, StringAndStreamWritersAgree)
     std::ostringstream os;
     writeChromeTrace(os, t);
     EXPECT_EQ(os.str(), chromeTraceString(t));
+}
+
+/** printf("%g") of @p ns in microseconds: the format's reference. */
+std::string
+printfUs(sim::TimeNs ns)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%g", static_cast<double>(ns) / 1e3);
+    return buf;
+}
+
+TEST(ChromeTrace, NumbersMatchPrintfG)
+{
+    // The serializer prints with std::to_chars; its bytes must stay
+    // those of printf("%g") in the C locale, which this binary never
+    // leaves, beyond the values the recorded fixture happens to hold.
+    std::vector<sim::TimeNs> ns = {
+        1, 999,
+        999'999'500,   // rounds up to 1e+06
+        1'234'565'000, // exact decimal ties at the sixth digit
+        1'000'005'000, 12'345'650'000};
+    for (sim::TimeNs p = 1; p <= 1'000'000'000'000'000; p *= 10)
+        ns.push_back(p);
+    sim::RandomStream rng(2021, "chrome-trace-numbers");
+    for (int i = 0; i < 20000; ++i) {
+        // Every magnitude from 1 ns to just under 1e16 ns.
+        sim::TimeNs scale = 1;
+        for (std::int64_t k = rng.uniformInt(0, 15); k > 0; --k)
+            scale *= 10;
+        ns.push_back(rng.uniformInt(scale, 10 * scale - 1));
+    }
+
+    // Interval i starts at ns[i] and lasts ns[i + 1], so every value
+    // is printed both as a "ts" and as a "dur".
+    for (std::size_t i = 0; i + 1 < ns.size(); ++i) {
+        Tracer t;
+        interval(t, "cpu0", "x", ns[i], ns[i] + ns[i + 1]);
+        const std::string want = R"("ts":)" + printfUs(ns[i]) +
+                                 R"(,"dur":)" + printfUs(ns[i + 1]) +
+                                 "}";
+        const std::string out = chromeTraceString(t);
+        EXPECT_NE(out.find(want), std::string::npos)
+            << "ts " << ns[i] << " ns, dur " << ns[i + 1]
+            << " ns; want " << want << " in\n"
+            << out;
+    }
 }
 
 TEST(TracerIntern, SameNameSameId)

@@ -9,6 +9,10 @@
  * component has interned its ids, tracing costs three array appends
  * per record.
  *
+ * The Chrome-trace serializer is held to the same idiom: it reserves
+ * its output once, so its allocation count does not grow with the
+ * trace.
+ *
  * This lives in its own test binary so the operator new override
  * cannot perturb other suites.
  */
@@ -18,7 +22,9 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 
+#include "trace/chrome_trace.h"
 #include "trace/tracer.h"
 
 namespace {
@@ -237,6 +243,55 @@ TEST(TraceAlloc, DisabledRecordingIsAllocationFree)
     }
     EXPECT_EQ(scope.count(), 0u);
     EXPECT_EQ(t.intervalCount(), 0u);
+}
+
+/**
+ * A trace of @p n intervals over four tracks and eight labels (some
+ * needing escapes, some past the short-string buffer), with a point
+ * event every tenth interval.
+ */
+void
+recordTrace(Tracer &t, int n)
+{
+    TrackId tracks[4];
+    for (int i = 0; i < 4; ++i)
+        tracks[i] = t.internTrack("cpu" + std::to_string(i));
+    LabelId labels[8];
+    for (int i = 0; i < 8; ++i)
+        labels[i] = t.internLabel("inference \"job\"\t#" +
+                                  std::to_string(i * 1000003));
+    const EventKindId kind = t.internEventKind("context_switch");
+    sim::TimeNs now = 0;
+    for (int i = 0; i < n; ++i) {
+        t.recordInterval(tracks[i % 4], labels[i % 8], now,
+                         now + 1 + i % 977);
+        if (i % 10 == 0)
+            t.recordEvent(kind, labels[(i / 10) % 8], now);
+        now += 1237;
+    }
+}
+
+/** Heap allocations made by one chromeTraceString call on @p t. */
+std::size_t
+serializeAllocations(const Tracer &t)
+{
+    CountingScope scope;
+    const std::string json = chromeTraceString(t);
+    EXPECT_GT(json.size(), 0u);
+    return scope.count();
+}
+
+TEST(TraceAlloc, SerializationReservesItsOutputOnce)
+{
+    // The serializer sizes its output from an upper bound before
+    // writing, so a trace 100x longer over the same names costs the
+    // same allocations: the per-call name tables and one buffer that
+    // never regrows.
+    Tracer small;
+    recordTrace(small, 1000);
+    Tracer large;
+    recordTrace(large, 100000);
+    EXPECT_EQ(serializeAllocations(small), serializeAllocations(large));
 }
 
 } // namespace

@@ -23,7 +23,8 @@
  *     coordinator's buffer at worker EOF is discarded with the
  *     reclaimed chunk; a hung worker is killed by the liveness
  *     deadline; SIGPIPE disposition is restored on every exit path;
- *     and all protocol numbers survive a comma-decimal locale.
+ *     and all protocol numbers, and the Chrome-trace numbers, survive
+ *     a comma-decimal locale.
  *
  * The TCP frame codec both ends share (sweep/protocol.h) is checked
  * directly: split delivery, empty frames and the payload cap.
@@ -48,6 +49,7 @@
 #include "stats/numfmt.h"
 #include "sweep/campaign.h"
 #include "sweep/protocol.h"
+#include "trace/chrome_trace.h"
 
 #ifndef AITAX_CLI_PATH
 #error "build must define AITAX_CLI_PATH"
@@ -606,6 +608,27 @@ TEST(Locale, AggregateSerializationIsLocaleIndependent)
     EXPECT_TRUE(stats::parseDouble(p, v));
     EXPECT_EQ(v, 1.0);
     EXPECT_EQ(*p, ',');
+}
+
+TEST(Locale, ChromeTraceIsLocaleIndependent)
+{
+    // Exponent-form and fractional microseconds: printf("%g") under a
+    // comma locale writes "ts":1,16754e+06,"dur":1,5, invalid JSON.
+    trace::Tracer t;
+    const trace::LabelId job = t.internLabel("job");
+    t.recordInterval(t.internTrack("cpu0"), job, 1'167'540'000,
+                     1'167'541'500);
+    t.recordEvent(t.internEventKind("migration"), job, 2'500);
+    const std::string c_form = trace::chromeTraceString(t);
+    ASSERT_NE(c_form.find(R"("ts":1.16754e+06,"dur":1.5})"),
+              std::string::npos)
+        << c_form;
+
+    CLocaleRestorer restore;
+    if (!activateCommaLocale())
+        GTEST_SKIP() << "no comma-decimal locale available";
+
+    EXPECT_EQ(trace::chromeTraceString(t), c_form);
 }
 
 // --- TCP frame codec -------------------------------------------------
