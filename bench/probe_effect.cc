@@ -310,6 +310,10 @@ main(int argc, char **argv)
         << (probe.on_off_match ? "true" : "false") << "\n"
         << "}\n";
     out.close();
+    if (!out) {
+        std::fprintf(stderr, "cannot write %s\n", trace_out.c_str());
+        return 1;
+    }
     std::printf("  wrote %s\n", trace_out.c_str());
 
     return probe.on_off_match ? 0 : 1;

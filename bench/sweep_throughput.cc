@@ -623,6 +623,10 @@ main(int argc, char **argv)
     out << "    ]\n  }\n"
         << "}\n";
     out.close();
+    if (!out) {
+        std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
+        return 1;
+    }
     std::printf("  wrote %s\n", out_path.c_str());
 
     return (checksum_match && engine_match && campaign_match && gate_ok)

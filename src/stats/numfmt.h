@@ -3,22 +3,20 @@
  * Locale-independent number formatting/parsing.
  *
  * The campaign protocol and the checkpoint manifest round-trip doubles
- * as text, and the Chrome-trace exporter writes JSON numbers.
- * printf("%.17g"), printf("%g") and strtod/sscanf("%lf") are all
+ * as text. printf("%.17g") and strtod/sscanf("%lf") are both
  * sensitive to LC_NUMERIC: under a comma-decimal locale (de_DE et al.)
- * the formatter emits "1,5" (invalid JSON, and a corrupted aggregate
- * once the parser stops at the comma). Every protocol, manifest and
- * trace number therefore goes through these helpers, which use
- * std::to_chars/std::from_chars — the only standard facilities
- * guaranteed to ignore the global locale.
+ * the formatter emits "1,5" (a corrupted aggregate once the parser
+ * stops at the comma). Every protocol and manifest number therefore
+ * goes through these helpers, which use std::to_chars/std::from_chars
+ * — the only standard facilities guaranteed to ignore the global
+ * locale.
  *
  * The formatters are byte-compatible with the historical printf
- * formats in the C locale: to_chars with chars_format::general and a
+ * format in the C locale: to_chars with chars_format::general and a
  * precision P is specified to print "as if by printf %.Pg" with '.'
- * as the decimal point. So formatG17/appendG17 write "%.17g" (manifests
- * written by earlier versions parse unchanged and goldens keep their
- * exact bytes) and appendG6 writes "%g", which is "%.6g" (the recorded
- * Chrome-trace fixture keeps its exact bytes).
+ * as the decimal point. So formatG17/appendG17 write "%.17g"
+ * (manifests written by earlier versions parse unchanged and goldens
+ * keep their exact bytes).
  */
 
 #ifndef AITAX_STATS_NUMFMT_H
@@ -49,19 +47,6 @@ appendG17(std::string &out, double v)
     char buf[64];
     const auto r = std::to_chars(buf, buf + sizeof(buf), v,
                                  std::chars_format::general, 17);
-    out.append(buf, r.ptr);
-}
-
-/**
- * Append @p v as printf("%g") — six significant digits, exponent form
- * below 1e-4 and from 1e6 up, trailing zeros cut — in C-locale bytes.
- */
-inline void
-appendG6(std::string &out, double v)
-{
-    char buf[32];
-    const auto r = std::to_chars(buf, buf + sizeof(buf), v,
-                                 std::chars_format::general, 6);
     out.append(buf, r.ptr);
 }
 

@@ -2,27 +2,30 @@
  * @file
  * The Chrome-trace serializer.
  *
- * The bytes are those the recorded fixture pins ("%g" microseconds);
- * the cost goes to three things only:
+ * "ts" and "dur" are exact microseconds: the nanosecond count divided
+ * by 1000, then a point and up to three fractional digits with
+ * trailing zeros cut, and no point when the fraction is 0
+ * ("1167540", "1.5", "0.001"). The recorded fixture pins the bytes.
+ * The cost goes to three things only:
  *
- *  - numbers go through std::to_chars, which writes C-locale "%g" and
- *    integer bytes without reading the global locale (stats/numfmt.h);
+ *  - numbers are written by integer std::to_chars, so there is no
+ *    floating-point formatting and no read of the global locale;
  *  - whatever is constant per id or per track — an escaped label or
  *    event kind, a track's "tid" text — is formatted once per call
  *    and copied into each record that uses it;
  *  - the output is reserved once from an upper bound computed from the
- *    store sizes and the cached lengths, so it never regrows.
+ *    store sizes, the cached lengths and the widest number the trace
+ *    holds, so it never regrows.
  */
 
 #include "trace/chrome_trace.h"
 
+#include <algorithm>
 #include <cassert>
 #include <charconv>
 #include <cstdint>
 #include <string_view>
 #include <vector>
-
-#include "stats/numfmt.h"
 
 namespace aitax::trace {
 
@@ -41,14 +44,6 @@ constexpr std::string_view kInstantMid =
     R"(","ph":"i","s":"g","pid":1,"tid":0,"ts":)";
 constexpr std::string_view kInstantArgs = R"(,"args":{"detail":")";
 constexpr std::string_view kArgsClose = R"("}})";
-
-/**
- * Longest appendUs output. A nanosecond count is an int64, so its
- * microsecond value is below 1e16 in magnitude and "%g" prints at
- * most a sign, six digits, a point and a two-digit exponent
- * ("-1.23457e+15"), or in fixed form "-0.000123457".
- */
-constexpr std::size_t kMaxUsChars = 12;
 
 /**
  * Append a string escaped for a JSON literal. Escapes the two
@@ -97,14 +92,67 @@ appendEscaped(std::string &out, std::string_view s)
     }
 }
 
+/** |v| as an unsigned count; defined for INT64_MIN too. */
+std::uint64_t
+magnitude(sim::TimeNs v)
+{
+    const auto u = static_cast<std::uint64_t>(v);
+    return v < 0 ? 0 - u : u;
+}
+
 /**
- * Append a nanosecond timestamp as microseconds in %g form (six
- * significant digits), the format the recorded trace fixture pins.
+ * end - begin, computed unsigned so that no pair of int64 stamps can
+ * overflow it; recordInterval keeps only end > begin.
+ */
+std::uint64_t
+duration(sim::TimeNs begin, sim::TimeNs end)
+{
+    return static_cast<std::uint64_t>(end) -
+           static_cast<std::uint64_t>(begin);
+}
+
+/**
+ * Most bytes appendUs writes for a count of at most @p widest ns: the
+ * integer digits of widest / 1000, a point and three fraction digits.
+ */
+std::size_t
+usChars(std::uint64_t widest)
+{
+    std::size_t digits = 1;
+    for (std::uint64_t us = widest / 1000; us >= 10; us /= 10)
+        ++digits;
+    return digits + 4;
+}
+
+/**
+ * Append @p ns nanoseconds as exact microseconds: ns / 1000, then a
+ * point and the fraction digits with trailing zeros cut, or no point
+ * when the fraction is 0.
  */
 void
-appendUs(std::string &out, sim::TimeNs ns)
+appendUs(std::string &out, std::uint64_t ns)
 {
-    stats::appendG6(out, static_cast<double>(ns) / 1e3);
+    char buf[24];
+    char *p = std::to_chars(buf, buf + sizeof(buf), ns / 1000).ptr;
+    if (const auto frac = static_cast<unsigned>(ns % 1000); frac != 0) {
+        *p++ = '.';
+        *p++ = static_cast<char>('0' + frac / 100);
+        if (frac % 100 != 0) {
+            *p++ = static_cast<char>('0' + frac / 10 % 10);
+            if (frac % 10 != 0)
+                *p++ = static_cast<char>('0' + frac % 10);
+        }
+    }
+    out.append(buf, p);
+}
+
+/** Append a signed stamp: '-' if negative, then its magnitude. */
+void
+appendStamp(std::string &out, sim::TimeNs ns)
+{
+    if (ns < 0)
+        out += '-';
+    appendUs(out, magnitude(ns));
 }
 
 void
@@ -148,23 +196,36 @@ chromeTraceString(const Tracer &tracer)
     }
 
     // Upper bound on the output: exact but for the numbers, each of
-    // which counts as kMaxUsChars.
+    // which counts as wide as the widest one the trace holds, plus a
+    // sign if any stamp is negative.
     std::size_t bound = kOpen.size() + kClose.size();
+    std::size_t numbers = ev.size();
+    std::uint64_t widest = 0;
+    bool negative = false;
     for (std::size_t i = 0; i < tracks.size(); ++i) {
         const Tracer::TrackStore &t = tracer.track(tracks[i]);
         bound += kSep.size() + threads[i].size();
         bound += t.size() * (kSep.size() + kNameOpen.size() +
                              sliceMids[i].size() + kSliceDur.size() +
-                             kSliceClose.size() + 2 * kMaxUsChars);
-        for (LabelId label : t.labels)
-            bound += labels[label.value].size();
+                             kSliceClose.size());
+        numbers += 2 * t.size();
+        for (std::size_t j = 0; j < t.size(); ++j) {
+            bound += labels[t.labels[j].value].size();
+            widest = std::max({widest, magnitude(t.begins[j]),
+                               duration(t.begins[j], t.ends[j])});
+            negative |= t.begins[j] < 0;
+        }
     }
     bound += ev.size() * (kSep.size() + kNameOpen.size() +
-                          kInstantMid.size() + kMaxUsChars +
-                          kInstantArgs.size() + kArgsClose.size());
-    for (std::size_t j = 0; j < ev.size(); ++j)
+                          kInstantMid.size() + kInstantArgs.size() +
+                          kArgsClose.size());
+    for (std::size_t j = 0; j < ev.size(); ++j) {
         bound += kinds[ev.kinds[j].value].size() +
                  labels[ev.details[j].value].size();
+        widest = std::max(widest, magnitude(ev.whens[j]));
+        negative |= ev.whens[j] < 0;
+    }
+    bound += numbers * (usChars(widest) + (negative ? 1 : 0));
 
     std::string out;
     out.reserve(bound);
@@ -189,9 +250,9 @@ chromeTraceString(const Tracer &tracer)
             out += kNameOpen;
             out += labels[t.labels[j].value];
             out += mid;
-            appendUs(out, t.begins[j]);
+            appendStamp(out, t.begins[j]);
             out += kSliceDur;
-            appendUs(out, t.ends[j] - t.begins[j]);
+            appendUs(out, duration(t.begins[j], t.ends[j]));
             out += kSliceClose;
         }
     }
@@ -201,7 +262,7 @@ chromeTraceString(const Tracer &tracer)
         out += kNameOpen;
         out += kinds[ev.kinds[j].value];
         out += kInstantMid;
-        appendUs(out, ev.whens[j]);
+        appendStamp(out, ev.whens[j]);
         out += kInstantArgs;
         out += labels[ev.details[j].value];
         out += kArgsClose;

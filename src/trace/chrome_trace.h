@@ -7,9 +7,10 @@
  * open equivalent to browsing a Snapdragon Profiler capture.
  *
  * Serialization streams the columnar store into one output buffer
- * that never regrows (chrome_trace.cc says how). Numbers are printed
- * by std::to_chars, so the bytes do not depend on the global locale.
- * The byte format ("ts"/"dur" as printf "%g" of microseconds) is
+ * that never regrows (chrome_trace.cc says how). "ts" and "dur" are
+ * exact microseconds, printed from the nanosecond count by integer
+ * std::to_chars ("1167540", "1.5", "0.001"), so every nanosecond shows
+ * and the bytes do not depend on the global locale. The byte format is
  * pinned by the recorded fixture tests/trace_fixtures/chrome_trace.json
  * (TraceEquiv.StreamingWriterMatchesFixtureBytes).
  */
@@ -27,8 +28,8 @@ namespace aitax::trace {
 /**
  * Serialize a complete-event ("ph":"X") JSON array for every
  * interval, one "thread" per track, plus instant events for context
- * switches and migrations. Timestamps are microseconds, as the format
- * requires.
+ * switches and migrations. Timestamps are exact microseconds, as the
+ * format requires.
  */
 std::string chromeTraceString(const Tracer &tracer);
 

@@ -271,6 +271,7 @@ writeGoldenFile(const std::string &path, const GoldenSnapshot &g)
     if (!out)
         return false;
     out << toJson(g);
+    out.close();
     return static_cast<bool>(out);
 }
 

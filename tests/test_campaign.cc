@@ -25,6 +25,7 @@
 #include <vector>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include "sim/random.h"
 #include "stats/distribution.h"
@@ -418,6 +419,18 @@ TEST(CampaignCli, MalformedNumericFlagsAreUsageErrors)
     EXPECT_EQ(cliExitStatus("--runs 3x"), 2);
     // Well-formed values still parse (no connection is accepted).
     EXPECT_EQ(cliExitStatus("serve --listen 0 --accept 0 --jobs 1"), 0);
+}
+
+TEST(CampaignCli, FailedOutputWritesExitOne)
+{
+    // /dev/full opens but fails every write: the CLI must report
+    // "cannot write" and exit 1 instead of claiming the file is written.
+    if (access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "no writable /dev/full";
+    EXPECT_EQ(cliExitStatus("--runs 2 --chrome-trace /dev/full"), 1);
+    EXPECT_EQ(cliExitStatus("campaign --scenarios 8 --shards 1 --jobs 1 "
+                            "--out /dev/full"),
+              1);
 }
 
 } // namespace

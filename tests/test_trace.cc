@@ -5,7 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <charconv>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -279,49 +280,133 @@ TEST(ChromeTrace, StringAndStreamWritersAgree)
     EXPECT_EQ(os.str(), chromeTraceString(t));
 }
 
-/** printf("%g") of @p ns in microseconds: the format's reference. */
-std::string
-printfUs(sim::TimeNs ns)
+/**
+ * Read back one printed "ts"/"dur" number: an optional '-', the
+ * integer microseconds without a leading zero, then optionally a point
+ * and one to three fraction digits, the last of them not 0. Sets the
+ * sign and the magnitude in ns; false on any other form, such as an
+ * exponent, a trailing fractional zero or a value past 2^64 - 1 ns.
+ */
+bool
+parseExactUs(std::string_view text, bool &negative, std::uint64_t &ns)
 {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%g", static_cast<double>(ns) / 1e3);
-    return buf;
+    negative = !text.empty() && text.front() == '-';
+    if (negative)
+        text.remove_prefix(1);
+    const std::size_t point = text.find('.');
+    const std::string_view whole = text.substr(0, point);
+    std::uint64_t us = 0;
+    const auto r =
+        std::from_chars(whole.data(), whole.data() + whole.size(), us);
+    if (r.ec != std::errc() || r.ptr != whole.data() + whole.size() ||
+        (whole.size() > 1 && whole.front() == '0'))
+        return false;
+    std::uint64_t frac = 0;
+    if (point != std::string_view::npos) {
+        const std::string_view digits = text.substr(point + 1);
+        if (digits.empty() || digits.size() > 3 || digits.back() == '0')
+            return false;
+        for (std::size_t k = 0; k < 3; ++k) {
+            const char d = k < digits.size() ? digits[k] : '0';
+            if (d < '0' || d > '9')
+                return false;
+            frac = frac * 10 + static_cast<std::uint64_t>(d - '0');
+        }
+    }
+    if (us > (UINT64_MAX - frac) / 1000)
+        return false;
+    ns = us * 1000 + frac;
+    return true;
 }
 
-TEST(ChromeTrace, NumbersMatchPrintfG)
+/** The number after @p key at or past @p pos; pos moves past it. */
+std::string_view
+numberAfter(const std::string &out, std::string_view key,
+            std::size_t &pos)
 {
-    // The serializer prints with std::to_chars; its bytes must stay
-    // those of printf("%g") in the C locale, which this binary never
-    // leaves, beyond the values the recorded fixture happens to hold.
-    std::vector<sim::TimeNs> ns = {
-        1, 999,
-        999'999'500,   // rounds up to 1e+06
-        1'234'565'000, // exact decimal ties at the sixth digit
-        1'000'005'000, 12'345'650'000};
-    for (sim::TimeNs p = 1; p <= 1'000'000'000'000'000; p *= 10)
-        ns.push_back(p);
+    pos = out.find(key, pos);
+    if (pos == std::string::npos)
+        return {};
+    pos += key.size();
+    const std::size_t end = out.find_first_of(",}", pos);
+    return std::string_view(out).substr(pos, end - pos);
+}
+
+TEST(ChromeTrace, TimestampsAreExactMicroseconds)
+{
+    // Every "ts" and "dur" must read back as the recorded nanosecond
+    // count exactly, over the whole int64 range: 0 and the digit
+    // boundaries of the fraction, every power of ten, INT64_MAX, and
+    // negative begins down to INT64_MIN.
+    std::vector<sim::TimeNs> ns = {0, 1, 999, 1000, 1001, 1010, 1100,
+                                   INT64_MAX};
+    sim::TimeNs power = 1;
+    for (int k = 1; k <= 18; ++k)
+        ns.push_back(power *= 10);
     sim::RandomStream rng(2021, "chrome-trace-numbers");
     for (int i = 0; i < 20000; ++i) {
-        // Every magnitude from 1 ns to just under 1e16 ns.
+        // Every magnitude from 1 ns to INT64_MAX.
         sim::TimeNs scale = 1;
-        for (std::int64_t k = rng.uniformInt(0, 15); k > 0; --k)
+        for (std::int64_t k = rng.uniformInt(0, 18); k > 0; --k)
             scale *= 10;
-        ns.push_back(rng.uniformInt(scale, 10 * scale - 1));
+        const sim::TimeNs hi =
+            scale <= INT64_MAX / 10 ? 10 * scale - 1 : INT64_MAX;
+        ns.push_back(rng.uniformInt(scale, hi));
     }
 
-    // Interval i starts at ns[i] and lasts ns[i + 1], so every value
-    // is printed both as a "ts" and as a "dur".
+    // Each value begins a negative interval that lasts the next value,
+    // and a positive one cut at INT64_MAX (INT64_MAX itself, which
+    // cannot begin an interval, is an instant below), so every value
+    // prints as a "ts" of both signs and, from the second on, as a
+    // "dur". Each case is its own tracer, so each sizes its output from
+    // its own widest number against the serializer's always-on assert;
+    // instants at `when` and at the begin give a negative case three
+    // signed numbers, more than the bound's two bytes of separator
+    // slack.
+    struct Case
+    {
+        sim::TimeNs begin, end, when;
+    };
+    std::vector<Case> cases = {{INT64_MIN, INT64_MAX, INT64_MIN},
+                               {INT64_MIN, INT64_MIN + 1, INT64_MAX},
+                               {INT64_MAX - 1, INT64_MAX, 0}};
     for (std::size_t i = 0; i + 1 < ns.size(); ++i) {
+        const sim::TimeNs dur = ns[i + 1];
+        cases.push_back({-ns[i], -ns[i] + dur, -ns[i]});
+        if (ns[i] < INT64_MAX)
+            cases.push_back({ns[i],
+                             ns[i] <= INT64_MAX - dur ? ns[i] + dur
+                                                      : INT64_MAX,
+                             ns[i]});
+    }
+
+    for (const Case &c : cases) {
         Tracer t;
-        interval(t, "cpu0", "x", ns[i], ns[i] + ns[i + 1]);
-        const std::string want = R"("ts":)" + printfUs(ns[i]) +
-                                 R"(,"dur":)" + printfUs(ns[i + 1]) +
-                                 "}";
+        interval(t, "cpu0", "x", c.begin, c.end);
+        event(t, "migration", "x", c.when);
+        event(t, "migration", "x", c.begin);
         const std::string out = chromeTraceString(t);
-        EXPECT_NE(out.find(want), std::string::npos)
-            << "ts " << ns[i] << " ns, dur " << ns[i + 1]
-            << " ns; want " << want << " in\n"
-            << out;
+        const auto expect = [&](std::string_view text, bool negative,
+                                std::uint64_t magnitude) {
+            bool neg = false;
+            std::uint64_t got = 0;
+            EXPECT_TRUE(parseExactUs(text, neg, got) &&
+                        neg == negative && got == magnitude)
+                << "printed " << text << " for " << (negative ? "-" : "")
+                << magnitude << " ns in\n"
+                << out;
+        };
+        const auto stamp = [&](std::string_view text, sim::TimeNs v) {
+            const auto u = static_cast<std::uint64_t>(v);
+            expect(text, v < 0, v < 0 ? 0 - u : u);
+        };
+        std::size_t pos = 0;
+        stamp(numberAfter(out, R"("ts":)", pos), c.begin);
+        expect(numberAfter(out, R"("dur":)", pos), false,
+               static_cast<std::uint64_t>(c.end) -
+                   static_cast<std::uint64_t>(c.begin));
+        stamp(numberAfter(out, R"("ts":)", pos), c.when);
+        stamp(numberAfter(out, R"("ts":)", pos), c.begin);
     }
 }
 

@@ -5,11 +5,9 @@
  * The Chrome-trace writer must reproduce the recorded fixture
  * tests/trace_fixtures/chrome_trace.json byte for byte. The fixture is
  * chromeTraceString() of the first 500 makeScenario() ops recorded
- * through the id API; when it was recorded those bytes were identical
- * to the pre-interning ostream writer's, so it pins the format that
- * writer defined (%g timestamps, escapes, thread ids in track-name
- * order). Closed-form utilization must agree with a brute-force
- * per-bucket overlap scan.
+ * through the id API, so it pins the format: exact-microsecond
+ * timestamps, escapes, thread ids in track-name order. Closed-form
+ * utilization must agree with a brute-force per-bucket overlap scan.
  */
 
 #include <gtest/gtest.h>
@@ -64,7 +62,7 @@ makeScenario()
         Op op;
         op.track = static_cast<int>(rng.next() % kTracks);
         op.label = static_cast<int>(rng.next() % kLabels);
-        // Sub-microsecond offsets exercise the %g fractional cases.
+        // Sub-microsecond offsets exercise the fractional digits.
         now += static_cast<sim::TimeNs>(rng.next() % 9973);
         op.begin = now;
         op.end = now + 1 + static_cast<sim::TimeNs>(rng.next() % 74321);

@@ -612,15 +612,15 @@ TEST(Locale, AggregateSerializationIsLocaleIndependent)
 
 TEST(Locale, ChromeTraceIsLocaleIndependent)
 {
-    // Exponent-form and fractional microseconds: printf("%g") under a
-    // comma locale writes "ts":1,16754e+06,"dur":1,5, invalid JSON.
+    // Fractional microseconds: a printf-family formatter under a comma
+    // locale writes "dur":1,5, invalid JSON.
     trace::Tracer t;
     const trace::LabelId job = t.internLabel("job");
     t.recordInterval(t.internTrack("cpu0"), job, 1'167'540'000,
                      1'167'541'500);
     t.recordEvent(t.internEventKind("migration"), job, 2'500);
     const std::string c_form = trace::chromeTraceString(t);
-    ASSERT_NE(c_form.find(R"("ts":1.16754e+06,"dur":1.5})"),
+    ASSERT_NE(c_form.find(R"("ts":1167540,"dur":1.5})"),
               std::string::npos)
         << c_form;
 

@@ -15,6 +15,8 @@
 #include <limits>
 #include <set>
 
+#include <unistd.h>
+
 #include "verify/golden.h"
 
 #ifndef AITAX_GOLDEN_DIR
@@ -111,6 +113,16 @@ TEST(GoldenJson, RoundTripIsBitIdentical)
         EXPECT_EQ(parsed.metrics.at(key), value) << key;
     }
     EXPECT_EQ(toJson(parsed), json);
+}
+
+TEST(GoldenJson, FailedWriteReturnsFalse)
+{
+    // /dev/full opens but fails every write; the JSON fits in the
+    // stream's buffer, so the failure only shows when it is flushed.
+    if (access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "no writable /dev/full";
+    const Scenario &s = goldenScenarios().front();
+    EXPECT_FALSE(writeGoldenFile("/dev/full", snapshot(s, runScenario(s))));
 }
 
 TEST(GoldenJson, ParserRejectsMalformedInput)

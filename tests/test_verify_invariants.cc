@@ -12,6 +12,7 @@
 #include <tuple>
 
 #include "soc/chipsets.h"
+#include "trace/chrome_trace.h"
 #include "verify/invariants.h"
 
 namespace aitax::verify {
@@ -230,6 +231,27 @@ TEST(Invariants, TraceCheckerReportsFirstDivergence)
     EXPECT_FALSE(diff.passed);
     EXPECT_NE(diff.detail.find("byte 3"), std::string::npos)
         << diff.detail;
+}
+
+TEST(Invariants, TraceCheckerSeesOneNanosecond)
+{
+    // Two traces that differ only in one interval's begin, 10 s against
+    // 10 s + 1 ns, with the same duration. I3 and the differential
+    // compare serialized traces, so the serialized bytes must differ.
+    const auto traceWith = [](sim::TimeNs begin) {
+        trace::Tracer t;
+        const trace::TrackId cpu = t.internTrack("cpu0");
+        const trace::LabelId job = t.internLabel("job");
+        t.recordInterval(cpu, job, 0, 1'000);
+        t.recordInterval(cpu, job, begin, begin + 1'000);
+        t.recordEvent(t.internEventKind("migration"), job, 2'000);
+        return trace::chromeTraceString(t);
+    };
+    const sim::TimeNs tenSeconds = 10'000'000'000;
+    const std::string a = traceWith(tenSeconds);
+    const std::string b = traceWith(tenSeconds + 1);
+    EXPECT_NE(a, b);
+    EXPECT_FALSE(checkTraceDeterminism(a, b).passed);
 }
 
 // --- stage sanity on a hand-built report --------------------------------

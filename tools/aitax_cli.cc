@@ -688,6 +688,11 @@ campaignMain(int argc, char **argv)
         // byte-comparing reports across transports.
         out << sweep::campaignReportJson(cfg.identity, sum.aggregate,
                                          sum.transport);
+        out.close();
+        if (!out) {
+            std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
+            return 1;
+        }
         std::printf("campaign: wrote %s\n", out_path.c_str());
     }
 
@@ -890,6 +895,12 @@ main(int argc, char **argv)
             return 1;
         }
         trace::writeChromeTrace(out, sys.tracer());
+        out.close();
+        if (!out) {
+            std::fprintf(stderr, "cannot write %s\n",
+                         chrome_trace_path.c_str());
+            return 1;
+        }
         std::printf("\nwrote chrome trace to %s\n",
                     chrome_trace_path.c_str());
     }

@@ -239,6 +239,12 @@ main(int argc, char **argv)
             return 2;
         }
         out << b.render();
+        out.close();
+        if (!out) {
+            std::fprintf(stderr, "aitax_lint: cannot write %s\n",
+                         baselinePath.c_str());
+            return 2;
+        }
         std::printf("aitax_lint: wrote %zu baseline entries to %s\n",
                     b.size(), baselinePath.c_str());
         return 0;
