@@ -8,6 +8,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,9 @@
 #include "sim/engine_mode.h"
 #include "sim/event_queue.h"
 #include "sim/random.h"
+#include "soc/chipsets.h"
+#include "soc/system.h"
+#include "soc/task.h"
 #include "trace/chrome_trace.h"
 #include "trace/tracer.h"
 
@@ -282,8 +286,8 @@ BENCHMARK(BM_EventQueueScheduleCancel)->Arg(1'000)->Arg(100'000);
  * heap while a foreground chain of events — each scheduled from the
  * previous one's callback, the chained-arrival pattern the
  * interference sources use — ping-pongs through the one-slot front
- * cache and the per-dispatch batch buffer. The Reference engine sifts
- * the full heap on every operation. Arg 0 selects the engine
+ * cache without touching the heap. The Reference engine sifts the
+ * full heap on every operation. Arg 0 selects the engine
  * (0 = Reference, 1 = Fast); items/sec is events/sec.
  */
 void
@@ -352,6 +356,38 @@ BM_EventQueueEngineSchedulePop(benchmark::State &state)
 BENCHMARK(BM_EventQueueEngineSchedulePop)
     ->Args({0, 100'000})
     ->Args({1, 100'000});
+
+/**
+ * The CPU slice path: one quiet SocSystem (no background load, tracing
+ * off) runs a lone task whose compute step spans Arg 0 time slices, so
+ * nearly every event is a slice expiry that renews the slice or, with
+ * the preset's load-balance probability, migrates the task. items/sec
+ * is events/sec.
+ */
+void
+BM_SchedulerSlicePath(benchmark::State &state)
+{
+    const soc::SocConfig cfg = soc::makeSnapdragon845();
+    const soc::CpuCoreConfig &big = cfg.cluster.cores.back();
+    const double ops_per_slice =
+        big.freqGhz * 1e9 * big.scalarOpsPerCycle *
+        static_cast<double>(cfg.cluster.timeSliceNs) / sim::kNsPerSec;
+    const double ops = ops_per_slice * static_cast<double>(state.range(0));
+    soc::SocSystem sys(cfg);
+    sys.tracer().setEnabled(false);
+    std::uint64_t events = 0;
+    for (auto _ : state) {
+        const std::uint64_t before = sys.simulator().eventsExecuted();
+        auto task = std::make_shared<soc::Task>("lone");
+        task->compute({ops, 0.0}, soc::WorkClass::Scalar);
+        sys.scheduler().submit(std::move(task));
+        sys.run();
+        events += sys.simulator().eventsExecuted() - before;
+    }
+    benchmark::DoNotOptimize(sys.scheduler().migrations());
+    state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_SchedulerSlicePath)->Arg(1'000);
 
 void
 BM_GraphBuildUncached(benchmark::State &state)

@@ -11,11 +11,9 @@
  *    compares against.
  *
  *  - Fast: the optimized engine — a one-slot front cache for the
- *    next-to-fire event, dispatch-scoped batched insertion (events
- *    scheduled inside a callback buffer locally and flush into the
- *    4-ary heap once per dispatch), a fused skip-ahead pop, and
- *    chained interference arrivals over a reserved seq band instead of
- *    pre-scheduling the whole horizon.
+ *    next-to-fire event in front of the 4-ary heap, a fused skip-ahead
+ *    pop, and chained interference arrivals over a reserved seq band
+ *    instead of pre-scheduling the whole horizon.
  *
  * Both engines execute events in identical (timestamp, seq) order, so
  * traces, reports and RNG draw sequences are byte-identical. That
@@ -33,7 +31,7 @@ enum class EngineMode
 {
     /** Heap-only legacy engine; differential-test baseline. */
     Reference,
-    /** Front-cached, batch-inserting engine (production default). */
+    /** Front-cached, skip-ahead engine (production default). */
     Fast,
 };
 

@@ -77,51 +77,27 @@ EventQueue::insertEntry(const HeapEntry &e)
     siftUp(heap.size() - 1);
 }
 
-void
-EventQueue::admit(const HeapEntry &e)
-{
-    if (fast_ && inDispatch_) {
-        pending_.push_back(e);
-        return;
-    }
-    insertEntry(e);
-}
-
-void
-EventQueue::flushPending()
-{
-    if (pending_.empty())
-        return;
-    for (const HeapEntry &e : pending_) {
-        // A batched event may have been cancelled before the flush;
-        // its slot is already freed, so just drop the entry.
-        if (!stale(e))
-            insertEntry(e);
-    }
-    pending_.clear();
-}
-
 EventId
-EventQueue::schedule(TimeNs when, EventFn fn)
+EventQueue::schedule(TimeNs when, EventFn &&fn)
 {
     const std::uint32_t slot = allocSlot();
     Slot &s = slots[slot];
     s.fn = std::move(fn);
     s.live = true;
-    admit(HeapEntry{when, nextSeq++, slot, s.gen});
+    insertEntry(HeapEntry{when, nextSeq++, slot, s.gen});
     ++liveCount;
     return (static_cast<EventId>(s.gen) << 32) | slot;
 }
 
 EventId
-EventQueue::scheduleWithSeq(TimeNs when, std::uint64_t seq, EventFn fn)
+EventQueue::scheduleWithSeq(TimeNs when, std::uint64_t seq, EventFn &&fn)
 {
     assert(seq < nextSeq && "seq must come from reserveSeqs()");
     const std::uint32_t slot = allocSlot();
     Slot &s = slots[slot];
     s.fn = std::move(fn);
     s.live = true;
-    admit(HeapEntry{when, seq, slot, s.gen});
+    insertEntry(HeapEntry{when, seq, slot, s.gen});
     ++liveCount;
     return (static_cast<EventId>(s.gen) << 32) | slot;
 }
@@ -141,7 +117,6 @@ EventQueue::cancel(EventId id)
     // cancel-heavy workload cannot grow the heap past O(live).
     if (liveCount == 0) {
         heap.clear();
-        pending_.clear();
         hasFront_ = false;
     } else if (heap.size() > 2 * liveCount + 64) {
         compact();
@@ -217,7 +192,6 @@ TimeNs
 EventQueue::nextTime() const
 {
     auto *self = const_cast<EventQueue *>(this);
-    self->flushPending();
     if (self->hasFront_ && self->stale(self->front_))
         self->hasFront_ = false;
     if (self->hasFront_)
@@ -230,7 +204,6 @@ EventQueue::nextTime() const
 EventQueue::HeapEntry
 EventQueue::takeNext()
 {
-    flushPending();
     if (hasFront_ && stale(front_))
         hasFront_ = false;
     HeapEntry top;
@@ -270,9 +243,7 @@ EventQueue::popAndRun()
     EventFn fn = std::move(slots[top.slot].fn);
     freeSlot(top.slot);
     --liveCount;
-    inDispatch_ = true;
     fn();
-    inDispatch_ = false;
     return top.when;
 }
 
@@ -287,9 +258,7 @@ EventQueue::runNext(TimeNs &now)
     // before its body runs, so now() inside the callback is the
     // event's own time.
     now = top.when;
-    inDispatch_ = true;
     fn();
-    inDispatch_ = false;
     return top.when;
 }
 

@@ -10,20 +10,15 @@
  * event is a true no-op, and bookkeeping is bounded by the number of
  * pending entries rather than growing with the lifetime of the queue.
  *
- * The Fast engine (sim/engine_mode.h) adds two structures in front of
- * the heap, both invisible to pop order:
- *
- *  - a one-slot *front cache* holding the single earliest entry. The
- *    invariant is strict: when occupied, the cached entry orders
- *    before every entry stored in the heap, so a pop can take it with
- *    zero sift work. The dominant simulator pattern — an event
- *    scheduling its own continuation at or near `now` — hits this
- *    cache and never touches the heap at all.
- *
- *  - a *dispatch batch buffer*: events scheduled while a callback is
- *    executing collect in a local vector and flush into the heap once
- *    per dispatch. Sequence numbers are assigned at schedule() time,
- *    so batching changes heap churn, never ordering.
+ * The Fast engine (sim/engine_mode.h) adds a one-slot *front cache* in
+ * front of the heap, invisible to pop order. It holds the single
+ * earliest entry, and the invariant is strict: when occupied, the
+ * cached entry orders before every entry stored in the heap, so a pop
+ * can take it with zero sift work. The dominant simulator pattern — an
+ * event scheduling its own continuation at or near `now` — hits this
+ * cache and never touches the heap at all. Every schedule() inserts
+ * at once; sequence numbers are fixed there, so pop order is the
+ * (timestamp, seq) order whatever the heap's shape.
  *
  * Both engines pop in identical (timestamp, seq) order; the
  * differential tier proves it byte-for-byte.
@@ -72,7 +67,7 @@ class EventQueue
     }
 
     /** Schedule @p fn to fire at absolute time @p when. */
-    EventId schedule(TimeNs when, EventFn fn);
+    EventId schedule(TimeNs when, EventFn &&fn);
 
     /**
      * Reserve @p n consecutive FIFO sequence numbers and return the
@@ -97,7 +92,7 @@ class EventQueue
      * fed back in increasing order per timestamp (the tie auditor
      * catches violations at pop time).
      */
-    EventId scheduleWithSeq(TimeNs when, std::uint64_t seq, EventFn fn);
+    EventId scheduleWithSeq(TimeNs when, std::uint64_t seq, EventFn &&fn);
 
     /** Cancel a pending event. Cancelling a fired event is a no-op. */
     void cancel(EventId id);
@@ -134,13 +129,13 @@ class EventQueue
 
     /**
      * Heap entries currently stored, including lazily-dropped stale
-     * ones and entries parked in the front cache / dispatch batch.
-     * Compaction keeps this O(size()).
+     * ones and the one parked in the front cache. Compaction keeps
+     * this O(size()).
      */
     std::size_t
     heapEntries() const
     {
-        return heap.size() + pending_.size() + (hasFront_ ? 1u : 0u);
+        return heap.size() + (hasFront_ ? 1u : 0u);
     }
 
     /** Pops served by the front cache with zero heap work (Fast). */
@@ -216,13 +211,9 @@ class EventQueue
     bool poppedAny = false;
     // --- Fast-engine state -------------------------------------------
     bool fast_ = true;
-    /** True while a popped callback is executing (batch window). */
-    bool inDispatch_ = false;
     /** Front cache: earliest stored entry, bypassing the heap. */
     HeapEntry front_{};
     bool hasFront_ = false;
-    /** Events scheduled mid-dispatch, flushed once per dispatch. */
-    std::vector<HeapEntry> pending_;
     std::uint64_t frontHits_ = 0;
 
     static bool
@@ -249,12 +240,8 @@ class EventQueue
     void dropStaleHead();
     /** Rebuild the heap without stale entries when they dominate. */
     void compact();
-    /** Route one new entry: batch buffer, front cache, or heap. */
-    void admit(const HeapEntry &e);
     /** Place an entry into front cache or heap (invariant-preserving). */
     void insertEntry(const HeapEntry &e);
-    /** Drain the dispatch batch into front cache / heap. */
-    void flushPending();
     /** Remove and return the next live entry; audits (when, seq). */
     HeapEntry takeNext();
 };

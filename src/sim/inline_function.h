@@ -17,6 +17,7 @@
 #define AITAX_SIM_INLINE_FUNCTION_H
 
 #include <cstddef>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -33,7 +34,9 @@ class InlineFunction; // primary template left undefined
  *
  * Invariants: invoking an empty InlineFunction is undefined (the event
  * queue never stores empty callbacks); relocation is a move-construct
- * plus destroy of the source, so captured state moves exactly once.
+ * plus destroy of the source, so captured state moves exactly once. A
+ * trivially copyable callable (and the heap fallback's pointer) is
+ * relocated by copying the buffer's bytes, and has nothing to destroy.
  */
 template <typename R, typename... Args>
 class InlineFunction<R(Args...)>
@@ -98,7 +101,8 @@ class InlineFunction<R(Args...)>
     reset() noexcept
     {
         if (ops != nullptr) {
-            ops->destroy(buf);
+            if (ops->destroy != nullptr)
+                ops->destroy(buf);
             ops = nullptr;
         }
     }
@@ -107,10 +111,17 @@ class InlineFunction<R(Args...)>
     struct Ops
     {
         R (*invoke)(void *, Args &&...);
-        /** Move-construct dst from src, then destroy src. */
+        /**
+         * Move-construct dst from src, then destroy src; null when
+         * copying the buffer relocates the callable.
+         */
         void (*relocate)(void *dst, void *src) noexcept;
+        /** Null when there is nothing to destroy. */
         void (*destroy)(void *) noexcept;
     };
+
+    template <typename Fn>
+    static constexpr bool kCopyBytes = std::is_trivially_copyable_v<Fn>;
 
     template <typename Fn>
     static constexpr Ops inlineOps = {
@@ -118,26 +129,24 @@ class InlineFunction<R(Args...)>
             return (*std::launder(reinterpret_cast<Fn *>(p)))(
                 std::forward<Args>(args)...);
         },
-        [](void *dst, void *src) noexcept {
+        kCopyBytes<Fn> ? nullptr : +[](void *dst, void *src) noexcept {
             Fn *s = std::launder(reinterpret_cast<Fn *>(src));
             ::new (dst) Fn(std::move(*s)); // aitax-lint: allow(raw-new-delete)
             s->~Fn();
         },
-        [](void *p) noexcept {
+        kCopyBytes<Fn> ? nullptr : +[](void *p) noexcept {
             std::launder(reinterpret_cast<Fn *>(p))->~Fn();
         },
     };
 
+    /** The buffer holds an owning Fn *, which relocates as bytes. */
     template <typename Fn>
     static constexpr Ops heapOps = {
         [](void *p, Args &&...args) -> R {
             return (**std::launder(reinterpret_cast<Fn **>(p)))(
                 std::forward<Args>(args)...);
         },
-        [](void *dst, void *src) noexcept {
-            ::new (dst) // aitax-lint: allow(raw-new-delete)
-                Fn *(*std::launder(reinterpret_cast<Fn **>(src)));
-        },
+        nullptr,
         [](void *p) noexcept {
             delete *std::launder(reinterpret_cast<Fn **>(p)); // aitax-lint: allow(raw-new-delete)
         },
@@ -156,7 +165,10 @@ class InlineFunction<R(Args...)>
     moveFrom(InlineFunction &other) noexcept
     {
         if (other.ops != nullptr) {
-            other.ops->relocate(buf, other.buf);
+            if (other.ops->relocate != nullptr)
+                other.ops->relocate(buf, other.buf);
+            else
+                std::memcpy(buf, other.buf, kInlineSize);
             ops = other.ops;
             other.ops = nullptr;
         }
@@ -165,7 +177,8 @@ class InlineFunction<R(Args...)>
 #pragma GCC diagnostic pop
 #endif
 
-    alignas(std::max_align_t) unsigned char buf[kInlineSize];
+    /** Zero-filled, so a whole-buffer copy never reads an unset byte. */
+    alignas(std::max_align_t) unsigned char buf[kInlineSize]{};
     const Ops *ops = nullptr;
 };
 

@@ -29,8 +29,8 @@ namespace aitax::sim {
  * determinism is a core requirement for reproducible experiments.
  *
  * Two engines share this interface (sim/engine_mode.h): the Reference
- * heap-only loop and the Fast front-cached, batch-inserting loop. Both
- * fire events in identical (timestamp, seq) order.
+ * heap-only loop and the Fast front-cached, skip-ahead loop. Both fire
+ * events in identical (timestamp, seq) order.
  */
 class Simulator
 {

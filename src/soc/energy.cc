@@ -1,7 +1,5 @@
 #include "soc/energy.h"
 
-#include <cassert>
-
 namespace aitax::soc {
 
 std::string_view
@@ -16,54 +14,9 @@ powerDomainName(PowerDomain d)
     return "unknown";
 }
 
-double
-EnergyConfig::pjPerOp(PowerDomain d) const
-{
-    switch (d) {
-      case PowerDomain::BigCpu: return bigCpuPjPerOp;
-      case PowerDomain::LittleCpu: return littleCpuPjPerOp;
-      case PowerDomain::Gpu: return gpuPjPerOp;
-      case PowerDomain::Dsp: return dspPjPerOp;
-    }
-    return 0.0;
-}
-
-double
-EnergyConfig::staticMw(PowerDomain d) const
-{
-    switch (d) {
-      case PowerDomain::BigCpu: return bigCpuStaticMw;
-      case PowerDomain::LittleCpu: return littleCpuStaticMw;
-      case PowerDomain::Gpu: return gpuStaticMw;
-      case PowerDomain::Dsp: return dspStaticMw;
-    }
-    return 0.0;
-}
-
 EnergyMeter::EnergyMeter(EnergyConfig cfg)
     : cfg(cfg)
 {
-}
-
-std::size_t
-EnergyMeter::index(PowerDomain d)
-{
-    return static_cast<std::size_t>(d);
-}
-
-void
-EnergyMeter::addDynamic(PowerDomain domain, double ops)
-{
-    assert(ops >= 0.0);
-    joules[index(domain)] += ops * cfg.pjPerOp(domain) * 1e-12;
-}
-
-void
-EnergyMeter::addStatic(PowerDomain domain, sim::DurationNs busy)
-{
-    assert(busy >= 0);
-    const double sec = static_cast<double>(busy) / sim::kNsPerSec;
-    joules[index(domain)] += cfg.staticMw(domain) * 1e-3 * sec;
 }
 
 double

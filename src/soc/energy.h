@@ -13,6 +13,7 @@
 #define AITAX_SOC_ENERGY_H
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <string_view>
 
@@ -59,8 +60,29 @@ struct EnergyConfig
     double gpuStaticMw = 150.0;
     double dspStaticMw = 60.0;
 
-    double pjPerOp(PowerDomain d) const;
-    double staticMw(PowerDomain d) const;
+    double
+    pjPerOp(PowerDomain d) const
+    {
+        switch (d) {
+          case PowerDomain::BigCpu: return bigCpuPjPerOp;
+          case PowerDomain::LittleCpu: return littleCpuPjPerOp;
+          case PowerDomain::Gpu: return gpuPjPerOp;
+          case PowerDomain::Dsp: return dspPjPerOp;
+        }
+        return 0.0;
+    }
+
+    double
+    staticMw(PowerDomain d) const
+    {
+        switch (d) {
+          case PowerDomain::BigCpu: return bigCpuStaticMw;
+          case PowerDomain::LittleCpu: return littleCpuStaticMw;
+          case PowerDomain::Gpu: return gpuStaticMw;
+          case PowerDomain::Dsp: return dspStaticMw;
+        }
+        return 0.0;
+    }
 };
 
 /**
@@ -74,10 +96,21 @@ class EnergyMeter
     const EnergyConfig &config() const { return cfg; }
 
     /** Charge dynamic energy for @p ops executed on @p domain. */
-    void addDynamic(PowerDomain domain, double ops);
+    void
+    addDynamic(PowerDomain domain, double ops)
+    {
+        assert(ops >= 0.0);
+        joules[index(domain)] += ops * cfg.pjPerOp(domain) * 1e-12;
+    }
 
     /** Charge static energy for @p busy ns of activity. */
-    void addStatic(PowerDomain domain, sim::DurationNs busy);
+    void
+    addStatic(PowerDomain domain, sim::DurationNs busy)
+    {
+        assert(busy >= 0);
+        const double sec = static_cast<double>(busy) / sim::kNsPerSec;
+        joules[index(domain)] += cfg.staticMw(domain) * 1e-3 * sec;
+    }
 
     /** Total energy for one domain, in millijoules. */
     double domainMj(PowerDomain domain) const;
@@ -97,7 +130,11 @@ class EnergyMeter
     EnergyConfig cfg;
     std::array<double, kAllPowerDomains.size()> joules{};
 
-    static std::size_t index(PowerDomain d);
+    static std::size_t
+    index(PowerDomain d)
+    {
+        return static_cast<std::size_t>(d);
+    }
 };
 
 } // namespace aitax::soc

@@ -12,13 +12,22 @@ OsScheduler::OsScheduler(sim::Simulator &sim, const CpuClusterConfig &cfg,
                          MemoryFabric *fabric)
     : sim(sim), cfg(cfg), thermal(thermal), tracer(tracer),
       energy(energy), dvfs(dvfs), fabric(fabric),
+      ratesVary_((dvfs && dvfs->config().enabled) ||
+                 (fabric && fabric->config().contentionEnabled)),
       balanceRng(0xA17Au, "os-load-balance")
 {
     assert(!cfg.cores.empty());
     cores.reserve(cfg.cores.size());
     for (const auto &core_cfg : cfg.cores) {
-        cores.push_back(Core{core_cfg, nullptr, 0, 0, 0,
-                             tracer.internTrack(core_cfg.name)});
+        Core core{core_cfg, {}, nullptr, 0, 0,
+                  tracer.internTrack(core_cfg.name)};
+        for (const WorkClass cls : {WorkClass::Scalar, WorkClass::VectorF32,
+                                    WorkClass::VectorI8})
+            core.opsPerSec[static_cast<std::size_t>(cls)] =
+                core_cfg.freqGhz * 1e9 * core_cfg.opsPerCycle(cls);
+        topRate_ = std::max(topRate_,
+                            core_cfg.freqGhz * core_cfg.f32OpsPerCycle);
+        cores.push_back(std::move(core));
     }
     migrationKind_ = tracer.internEventKind("migration");
     ctxSwitchKind_ = tracer.internEventKind("context_switch");
@@ -131,11 +140,10 @@ OsScheduler::dispatch(int core_idx, std::shared_ptr<Task> task)
     const sim::DurationNs overhead =
         cfg.contextSwitchNs + (migrated ? cfg.migrationNs : 0);
     core.sliceEnd = sim.now() + overhead + cfg.timeSliceNs;
-    core.pendingEvent =
-        sim.scheduleIn(overhead, [this, core_idx] { runFront(core_idx); });
+    sim.scheduleIn(overhead, [this, core_idx] { runFront(core_idx); });
 }
 
-void
+std::shared_ptr<Task>
 OsScheduler::leaveCore(int core_idx)
 {
     Core &core = cores[static_cast<std::size_t>(core_idx)];
@@ -144,24 +152,25 @@ OsScheduler::leaveCore(int core_idx)
         tracer.recordInterval(core.track,
                               core.running->traceLabel(tracer),
                               core.runStart, sim.now());
-    core.running = nullptr;
-    core.pendingEvent = 0;
+    std::shared_ptr<Task> task = std::move(core.running);
     if (dvfs)
         dvfs->onBusyChange(core.cfg.big, -1);
     if (fabric)
         fabric->onClientChange(-1);
+    return task;
 }
 
 void
 OsScheduler::runFront(int core_idx)
 {
-    Core &core = cores[static_cast<std::size_t>(core_idx)];
-    auto task = core.running;
+    // The core owns its running task: borrow it, and take ownership
+    // back from leaveCore() on the paths that take it off the core.
+    Task *task = cores[static_cast<std::size_t>(core_idx)].running.get();
     assert(task);
 
     while (true) {
         if (!task->hasSteps()) {
-            leaveCore(core_idx);
+            const auto owned = leaveCore(core_idx);
             task->finish(sim.now());
             tryDispatch();
             return;
@@ -180,9 +189,11 @@ OsScheduler::runFront(int core_idx)
         if (auto *sleep = std::get_if<SleepStep>(&step)) {
             const sim::DurationNs duration = sleep->duration;
             task->popStep();
-            leaveCore(core_idx);
+            auto owned = leaveCore(core_idx);
             task->setState(TaskState::Blocked);
-            sim.scheduleIn(duration, [this, task] { makeReady(task); });
+            sim.scheduleIn(duration, [this, owned = std::move(owned)] {
+                makeReady(owned);
+            });
             tryDispatch();
             return;
         }
@@ -190,13 +201,13 @@ OsScheduler::runFront(int core_idx)
         if (auto *blocked = std::get_if<BlockStep>(&step)) {
             auto start = std::move(blocked->start);
             task->popStep();
-            leaveCore(core_idx);
+            const auto owned = leaveCore(core_idx);
             task->setState(TaskState::Blocked);
             // The resume token owns the task while it is blocked and
             // re-enters the scheduler via a fresh event (resumeBlocked)
             // so a synchronous resume inside start() cannot re-enter us.
             start(*task, BlockResume(&OsScheduler::resumeBlocked, this,
-                                     task));
+                                     owned));
             tryDispatch();
             return;
         }
@@ -210,14 +221,19 @@ sim::DurationNs
 OsScheduler::computeDuration(const Core &core,
                              const ComputeStep &step) const
 {
-    double factor = const_cast<ThermalModel &>(thermal).speedFactor();
-    if (dvfs)
-        factor *= const_cast<DvfsGovernor *>(dvfs)->factor(core.cfg.big);
-    const double ops_rate = core.cfg.freqGhz * 1e9 *
-                            core.cfg.opsPerCycle(step.cls) * factor;
-    double byte_rate = core.cfg.memBytesPerSec * factor;
-    if (fabric)
-        byte_rate *= fabric->derateFactor();
+    double ops_rate = core.opsPerSec[static_cast<std::size_t>(step.cls)];
+    double byte_rate = core.cfg.memBytesPerSec;
+    // With every rate model off each factor is exactly 1.0, and
+    // x * 1.0 == x, so skipping them keeps every bit.
+    if (!ratesFixed()) {
+        double factor = thermal.speedFactor();
+        if (dvfs)
+            factor *= dvfs->factor(core.cfg.big);
+        ops_rate *= factor;
+        byte_rate *= factor;
+        if (fabric)
+            byte_rate *= fabric->derateFactor();
+    }
     const double ops = step.work.flops * step.remaining;
     const double bytes = step.work.bytes * step.remaining;
     const double sec =
@@ -230,8 +246,7 @@ void
 OsScheduler::startCompute(int core_idx, ComputeStep &step)
 {
     Core &core = cores[static_cast<std::size_t>(core_idx)];
-    auto task = core.running;
-    assert(task);
+    assert(core.running);
 
     const sim::DurationNs duration = computeDuration(core, step);
     const sim::DurationNs slice_rem =
@@ -239,9 +254,8 @@ OsScheduler::startCompute(int core_idx, ComputeStep &step)
 
     if (duration <= slice_rem) {
         // Step completes within the slice.
-        core.pendingEvent = sim.scheduleIn(duration, [this, core_idx,
-                                                      duration] {
-            finishComputeSlice(core_idx, sim.now() - duration, duration);
+        sim.scheduleIn(duration, [this, core_idx, duration] {
+            finishComputeSlice(core_idx, duration, duration);
             Core &c = cores[static_cast<std::size_t>(core_idx)];
             auto &st = std::get<ComputeStep>(c.running->frontStep());
             st.remaining = 0.0;
@@ -252,11 +266,10 @@ OsScheduler::startCompute(int core_idx, ComputeStep &step)
     }
 
     // Slice expires first.
-    core.pendingEvent = sim.scheduleIn(slice_rem, [this, core_idx,
-                                                   duration, slice_rem] {
-        finishComputeSlice(core_idx, sim.now() - slice_rem, slice_rem);
+    sim.scheduleIn(slice_rem, [this, core_idx, duration, slice_rem] {
+        finishComputeSlice(core_idx, slice_rem, duration);
         Core &c = cores[static_cast<std::size_t>(core_idx)];
-        auto task = c.running;
+        Task *task = c.running.get();
         auto &st = std::get<ComputeStep>(task->frontStep());
         const double frac =
             static_cast<double>(slice_rem) / static_cast<double>(duration);
@@ -265,9 +278,9 @@ OsScheduler::startCompute(int core_idx, ComputeStep &step)
         if (runQueue.empty()) {
             const int dest = balanceTarget(core_idx, *task);
             if (dest >= 0) {
-                leaveCore(core_idx);
+                auto owned = leaveCore(core_idx);
                 task->setState(TaskState::Ready);
-                dispatch(dest, std::move(task));
+                dispatch(dest, std::move(owned));
                 return;
             }
             // Nothing else to run: renew the slice in place, free of
@@ -280,27 +293,29 @@ OsScheduler::startCompute(int core_idx, ComputeStep &step)
         if (tracer.isEnabled())
             tracer.recordEvent(ctxSwitchKind_,
                                task->traceLabel(tracer), sim.now());
-        leaveCore(core_idx);
+        auto owned = leaveCore(core_idx);
         task->setState(TaskState::Ready);
-        runQueue.push_back(task);
+        runQueue.push_back(std::move(owned));
         tryDispatch();
     });
 }
 
 void
-OsScheduler::finishComputeSlice(int core_idx, sim::TimeNs started,
-                                sim::DurationNs full_duration)
+OsScheduler::finishComputeSlice(int core_idx, sim::DurationNs busy,
+                                sim::DurationNs step_duration)
 {
     Core &core = cores[static_cast<std::size_t>(core_idx)];
-    auto task = core.running;
-    assert(task);
-    (void)started;
+    assert(core.running);
 
-    const auto &st = std::get<ComputeStep>(task->frontStep());
-    // Portion of the step's total byte traffic this slice covered.
-    const sim::DurationNs total = computeDuration(core, st);
+    const auto &st = std::get<ComputeStep>(core.running->frontStep());
+    // Portion of the step's total byte traffic this slice covered. No
+    // rate model can switch off mid-slice (a thermal emergency only
+    // switches thermal on), so with all of them off now they were off
+    // at slice start and the start-time duration is still exact.
+    const sim::DurationNs total =
+        ratesFixed() ? step_duration : computeDuration(core, st);
     const double frac_of_remaining =
-        total > 0 ? std::min(1.0, static_cast<double>(full_duration) /
+        total > 0 ? std::min(1.0, static_cast<double>(busy) /
                                       static_cast<double>(total))
                   : 1.0;
     const double bytes = st.work.bytes * st.remaining * frac_of_remaining;
@@ -313,11 +328,10 @@ OsScheduler::finishComputeSlice(int core_idx, sim::TimeNs started,
                                        : PowerDomain::LittleCpu;
         energy->addDynamic(domain, st.work.flops * st.remaining *
                                        frac_of_remaining);
-        energy->addStatic(domain, full_duration);
+        energy->addStatic(domain, busy);
     }
 
-    const double busy_sec =
-        static_cast<double>(full_duration) / sim::kNsPerSec;
+    const double busy_sec = static_cast<double>(busy) / sim::kNsPerSec;
     thermal.addHeat(busy_sec * (core.cfg.big ? 1.0 : 0.4));
 }
 
@@ -330,7 +344,7 @@ OsScheduler::balanceTarget(int core_idx, const Task &task)
 
     // EAS-style up-migration: a foreground task displaced to a slow
     // core moves as soon as a faster core goes idle.
-    if (!task.isBackground()) {
+    if (!task.isBackground() && my_rate < topRate_) {
         for (std::size_t i = 0; i < cores.size(); ++i) {
             if (!cores[i].running &&
                 cores[i].cfg.freqGhz * cores[i].cfg.f32OpsPerCycle >
@@ -341,22 +355,23 @@ OsScheduler::balanceTarget(int core_idx, const Task &task)
     }
 
     // Kernel load balancing occasionally bounces a lone task between
-    // idle cores of the same tier (Fig 6's migration churn).
+    // idle cores of the same tier (Fig 6's migration churn): count the
+    // candidates, draw one, then walk to it.
     if (cfg.loadBalanceProb > 0.0 &&
         balanceRng.bernoulli(cfg.loadBalanceProb)) {
-        std::vector<int> candidates;
-        for (std::size_t i = 0; i < cores.size(); ++i) {
-            if (static_cast<int>(i) == core_idx || cores[i].running)
-                continue;
-            if (cores[i].cfg.freqGhz * cores[i].cfg.f32OpsPerCycle ==
-                my_rate) {
-                candidates.push_back(static_cast<int>(i));
-            }
-        }
-        if (!candidates.empty()) {
-            const auto pick = balanceRng.uniformInt(
-                0, static_cast<std::int64_t>(candidates.size()) - 1);
-            return candidates[static_cast<std::size_t>(pick)];
+        const auto candidate = [&](std::size_t i) {
+            return static_cast<int>(i) != core_idx && !cores[i].running &&
+                   cores[i].cfg.freqGhz * cores[i].cfg.f32OpsPerCycle ==
+                       my_rate;
+        };
+        std::int64_t count = 0;
+        for (std::size_t i = 0; i < cores.size(); ++i)
+            count += candidate(i) ? 1 : 0;
+        if (count > 0) {
+            auto pick = balanceRng.uniformInt(0, count - 1);
+            for (std::size_t i = 0; i < cores.size(); ++i)
+                if (candidate(i) && pick-- == 0)
+                    return static_cast<int>(i);
         }
     }
     return -1;
@@ -385,10 +400,6 @@ OsScheduler::setWarmupState(const WarmupState &s)
     ctxSwitches = s.ctxSwitches;
     migrations_ = s.migrations;
     for (std::size_t i = 0; i < cores.size(); ++i) {
-        // pendingEvent is pure bookkeeping (nothing ever cancels
-        // through it) and an idle core has no live slice event, so the
-        // restored core starts with none.
-        cores[i].pendingEvent = 0;
         cores[i].runStart = s.coreTimes[i].first;
         cores[i].sliceEnd = s.coreTimes[i].second;
     }

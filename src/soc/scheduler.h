@@ -14,6 +14,7 @@
 #ifndef AITAX_SOC_SCHEDULER_H
 #define AITAX_SOC_SCHEDULER_H
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -88,8 +89,9 @@ class OsScheduler
     struct Core
     {
         CpuCoreConfig cfg;
+        /** freqGhz * 1e9 * opsPerCycle, indexed by WorkClass. */
+        std::array<double, 3> opsPerSec{};
         std::shared_ptr<Task> running;
-        sim::EventId pendingEvent = 0;
         sim::TimeNs runStart = 0;
         sim::TimeNs sliceEnd = 0;
         trace::TrackId track; ///< interned at construction
@@ -102,6 +104,8 @@ class OsScheduler
     EnergyMeter *energy;
     DvfsGovernor *dvfs;
     MemoryFabric *fabric;
+    /** DVFS or fabric contention is on: core rates move mid-slice. */
+    bool ratesVary_;
     std::vector<Core> cores;
     std::deque<std::shared_ptr<Task>> runQueue;
     sim::RandomStream balanceRng;
@@ -110,6 +114,8 @@ class OsScheduler
     trace::CounterId axiCounter_;
     std::int64_t ctxSwitches = 0;
     std::int64_t migrations_ = 0;
+    /** The fastest core's freqGhz * f32OpsPerCycle. */
+    double topRate_ = 0.0;
 
     /** BlockResume thunk: schedules makeReady on a fresh event. */
     static void resumeBlocked(void *self, std::shared_ptr<Task> task);
@@ -120,11 +126,19 @@ class OsScheduler
     void dispatch(int core_idx, std::shared_ptr<Task> task);
     void runFront(int core_idx);
     void startCompute(int core_idx, ComputeStep &step);
-    void finishComputeSlice(int core_idx, sim::TimeNs started,
-                            sim::DurationNs full_duration);
-    void leaveCore(int core_idx);
+    /**
+     * Account a slice of @p busy ns that ran the core's front compute
+     * step; @p step_duration is that step's remaining duration as
+     * computed when the slice started.
+     */
+    void finishComputeSlice(int core_idx, sim::DurationNs busy,
+                            sim::DurationNs step_duration);
+    /** Take the running task off its core; returns its ownership. */
+    std::shared_ptr<Task> leaveCore(int core_idx);
     sim::DurationNs computeDuration(const Core &core,
                                     const ComputeStep &step) const;
+    /** Thermal, DVFS and fabric contention are all off. */
+    bool ratesFixed() const { return !ratesVary_ && !thermal.enabled(); }
 
     /**
      * Destination for a lone task at slice expiry: a faster idle core

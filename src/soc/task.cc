@@ -44,24 +44,6 @@ Task::setOnComplete(TimeFn fn)
     onComplete = std::move(fn);
 }
 
-TaskStep &
-Task::frontStep()
-{
-    assert(hasSteps());
-    return steps[front_];
-}
-
-void
-Task::popStep()
-{
-    assert(hasSteps());
-    // Grow-only storage: advance the cursor, but destroy the consumed
-    // step's captures now (as the old deque's pop_front did) so resume
-    // tokens and shared_ptrs don't outlive their step.
-    steps[front_].emplace<SleepStep>();
-    ++front_;
-}
-
 void
 Task::finish(sim::TimeNs now)
 {

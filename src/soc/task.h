@@ -12,6 +12,7 @@
 #ifndef AITAX_SOC_TASK_H
 #define AITAX_SOC_TASK_H
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -157,8 +158,25 @@ class Task
     void setLastCore(int core) { lastCore_ = core; }
 
     bool hasSteps() const { return front_ < steps.size(); }
-    TaskStep &frontStep();
-    void popStep();
+
+    TaskStep &
+    frontStep()
+    {
+        assert(hasSteps());
+        return steps[front_];
+    }
+
+    void
+    popStep()
+    {
+        assert(hasSteps());
+        // Grow-only storage: advance the cursor, but destroy the
+        // consumed step's captures now (as the old deque's pop_front
+        // did) so resume tokens and shared_ptrs don't outlive their
+        // step.
+        steps[front_].emplace<SleepStep>();
+        ++front_;
+    }
 
     void finish(sim::TimeNs now);
 

@@ -48,6 +48,9 @@ class ThermalModel
     /** Reset to cold. */
     void reset();
 
+    /** Whether the model is on; triggerEmergency() can turn it on. */
+    bool enabled() const { return cfg.enabled; }
+
     /**
      * Raw model state for warm-up prefix snapshots. The enabled flag
      * is part of the state because triggerEmergency() force-enables a

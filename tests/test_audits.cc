@@ -106,19 +106,19 @@ TEST(TieAuditor, FiresOnBackwardsSeqAcrossTimestamps)
 
 TEST(TieAuditor, FiresOnSeqCollisionScheduledDuringDispatch)
 {
-    // Fast engine: events scheduled inside a callback land in the
-    // per-dispatch batch buffer, not the heap. The auditor runs at pop
-    // time, after the buffer flushes — a forged collision must not
-    // hide behind the batching.
+    // Fast engine: an event scheduled inside a callback goes straight
+    // into the front cache while the popped event's callback is still
+    // running. The auditor runs at pop time — a forged collision
+    // scheduled mid-dispatch must not slip past it.
     AuditRecorder rec;
     EventQueue q(EngineMode::Fast);
     q.schedule(5, [&q] {
         q.debugSetNextSeq(0);
-        q.schedule(5, [] {}); // batched (5, seq 0) duplicate
+        q.schedule(5, [] {}); // mid-dispatch (5, seq 0) duplicate
     });
     q.popAndRun(); // (5, seq 0), legitimate
     EXPECT_TRUE(g_violations.empty());
-    q.popAndRun(); // flushed duplicate (5, seq 0) -> must fire
+    q.popAndRun(); // duplicate (5, seq 0) -> must fire
     ASSERT_EQ(g_violations.size(), 1U);
     EXPECT_NE(g_violations[0].find("tie"), std::string::npos);
 }

@@ -1,11 +1,11 @@
 /**
  * @file
  * Differential harness for the fast-path simulation core: the Fast
- * engine (skip-ahead front cache, batched insertion, chained
- * interference, warm-up prefix memoization) must change NOTHING
- * observable relative to the Reference engine — not a trace byte, not
- * a CSV cell, not a fault tally — across a seeded corpus covering
- * every Table II chipset, faults on and off, and any worker count.
+ * engine (skip-ahead front cache, chained interference, warm-up prefix
+ * memoization) must change NOTHING observable relative to the
+ * Reference engine — not a trace byte, not a CSV cell, not a fault
+ * tally — across a seeded corpus covering every Table II chipset,
+ * faults on and off, and any worker count.
  *
  * Also the negative side of the memoization contract: scenarios that
  * share a warm-up prefix but diverge in streaming, faults, background

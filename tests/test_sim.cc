@@ -6,10 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "sim/event_queue.h"
+#include "sim/inline_function.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
@@ -436,6 +440,96 @@ TEST(Simulator, EventCountTracks)
         sim.scheduleIn(i, [] {});
     sim.run();
     EXPECT_EQ(sim.eventsExecuted(), 7u);
+}
+
+// --- inline function ---------------------------------------------------
+
+/** Trivially copyable: relocates by copying its bytes. */
+struct Accumulate
+{
+    std::int64_t *out;
+    std::int64_t a;
+    std::int64_t b;
+    double scale;
+    void
+    operator()() const
+    {
+        *out += static_cast<std::int64_t>(scale * static_cast<double>(a + b));
+    }
+};
+static_assert(std::is_trivially_copyable_v<Accumulate>);
+static_assert(sizeof(Accumulate) <= EventFn::kInlineSize);
+
+/** Holds a shared_ptr: relocates by move-construct plus destroy. */
+struct Holder
+{
+    std::shared_ptr<int> token;
+    void operator()() const { ++*token; }
+};
+static_assert(!std::is_trivially_copyable_v<Holder>);
+
+/** Too big for the inline buffer: lives on the heap. */
+struct BigHolder
+{
+    std::shared_ptr<int> token;
+    std::array<std::int64_t, 8> pad{};
+    void operator()() const { ++*token; }
+};
+static_assert(sizeof(BigHolder) > EventFn::kInlineSize);
+
+TEST(InlineFunction, TriviallyCopyableCaptureSurvivesAChainOfMoves)
+{
+    std::int64_t out = 0;
+    EventFn first(Accumulate{&out, 3, 4, 2.0});
+    EventFn second(std::move(first));
+    EventFn third;
+    third = std::move(second);
+    std::vector<EventFn> fns;
+    fns.push_back(std::move(third));
+    for (int i = 0; i < 64; ++i) // reallocations move the elements
+        fns.emplace_back(Accumulate{&out, 0, 0, 0.0});
+    fns.front()();
+    EXPECT_EQ(out, 14);
+    EXPECT_FALSE(first);
+    EXPECT_FALSE(second);
+    EXPECT_FALSE(third);
+}
+
+template <typename Fn>
+void
+expectDestroyedExactlyOnce()
+{
+    auto token = std::make_shared<int>(0);
+    {
+        EventFn f(Fn{token});
+        EXPECT_EQ(token.use_count(), 2);
+        EventFn g(std::move(f));
+        EventFn h;
+        h = std::move(g);
+        EXPECT_FALSE(f);
+        EXPECT_FALSE(g);
+        EXPECT_EQ(token.use_count(), 2);
+        h();
+        EXPECT_EQ(*token, 1);
+        // Assigning over a live function destroys what it held.
+        h = EventFn(Fn{token});
+        EXPECT_EQ(token.use_count(), 2);
+        h.reset();
+        EXPECT_FALSE(h);
+        EXPECT_EQ(token.use_count(), 1);
+        h = EventFn(Fn{token});
+    }
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(InlineFunction, SharedPtrCaptureIsDestroyedExactlyOnceInline)
+{
+    expectDestroyedExactlyOnce<Holder>();
+}
+
+TEST(InlineFunction, SharedPtrCaptureIsDestroyedExactlyOnceOnTheHeap)
+{
+    expectDestroyedExactlyOnce<BigHolder>();
 }
 
 } // namespace

@@ -16,6 +16,10 @@
  *     reset() has coalesced, back-to-back identical runs keep exactly
  *     one block and never allocate another.
  *
+ *  3. The CPU slice path is allocation-free: with tracing off, a lone
+ *     task's slice expiries, each drawing a load-balance destination
+ *     and migrating, touch the heap zero times.
+ *
  * This lives in its own test binary so the operator new override
  * cannot perturb other suites.
  */
@@ -29,6 +33,9 @@
 #include "sim/arena.h"
 #include "sim/local_queue.h"
 #include "sim/simulator.h"
+#include "soc/chipsets.h"
+#include "soc/system.h"
+#include "soc/task.h"
 #include "verify/scenario.h"
 
 namespace {
@@ -175,6 +182,36 @@ TEST(SimAlloc, LocalQueueSteadyStateIsAllocationFree)
 
 } // namespace
 } // namespace aitax::sim
+
+namespace aitax::soc {
+namespace {
+
+TEST(SimAlloc, LoneTaskSliceExpiriesAreAllocationFree)
+{
+    SocConfig cfg = makeSnapdragon845();
+    cfg.cluster.loadBalanceProb = 1.0; // every expiry draws and migrates
+    SocSystem sys(cfg);
+    sys.tracer().setEnabled(false);
+    auto task = std::make_shared<Task>("lone");
+    task->compute({3.64e9 * 120.0, 0.0}, WorkClass::Scalar); // ~2 min
+    sys.scheduler().submit(task);
+
+    // Warm-up: the event queue's slot arena reaches capacity.
+    sys.simulator().runUntil(sim::msToNs(100.0));
+    const std::int64_t before = sys.scheduler().migrations();
+
+    std::size_t allocs = 0;
+    {
+        sim::CountingScope scope;
+        sys.simulator().runUntil(sim::msToNs(100.0 + 45'000.0));
+        allocs = scope.count();
+    }
+    EXPECT_GE(sys.scheduler().migrations() - before, 10'000);
+    EXPECT_EQ(allocs, 0u) << "the CPU slice path allocated on the heap";
+}
+
+} // namespace
+} // namespace aitax::soc
 
 namespace aitax::verify {
 namespace {

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "soc/accelerator.h"
@@ -341,6 +343,64 @@ TEST(Scheduler, LoadBalanceMigrationsAreDeterministic)
     const auto a = run_once();
     EXPECT_GT(a, 0); // ~200 ms of slices at p=0.12
     EXPECT_EQ(a, run_once());
+
+    // At p=1 every slice expiry draws a destination among the idle
+    // big cores. The pinned count and core sequence fix the draws
+    // exactly, so a rewrite of the balancer must match draw for draw.
+    SocConfig cfg = testConfig();
+    cfg.cluster.loadBalanceProb = 1.0;
+    SocSystem sys(cfg, 5);
+    auto task = std::make_shared<Task>("lone");
+    task->compute({3.64e6 * 48, 0.0}, WorkClass::Scalar);
+    sys.scheduler().submit(task);
+    sys.run();
+    // One interval per dispatch; order them by start time.
+    std::vector<std::pair<sim::TimeNs, int>> runs;
+    const trace::Tracer &tracer = sys.tracer();
+    for (const trace::TrackId id : tracer.sortedNonEmptyTracks()) {
+        int core = -1;
+        for (std::size_t i = 0; i < cfg.cluster.cores.size(); ++i)
+            if (cfg.cluster.cores[i].name == tracer.trackName(id))
+                core = static_cast<int>(i);
+        for (const sim::TimeNs begin : tracer.track(id).begins)
+            runs.emplace_back(begin, core);
+    }
+    std::sort(runs.begin(), runs.end());
+    std::vector<int> cores;
+    for (const auto &run : runs)
+        cores.push_back(run.second);
+    EXPECT_EQ(sys.scheduler().migrations(), 11);
+    EXPECT_EQ(cores, (std::vector<int>{4, 5, 7, 4, 6, 5, 7, 5, 7, 6, 5, 4}));
+}
+
+TEST(Scheduler, ThermalEmergencyMidSliceRecomputesTheSliceDuration)
+{
+    // With thermal, DVFS and fabric contention all off at a slice's
+    // end, the scheduler reuses the step duration computed when the
+    // slice started. An emergency inside the slice switches thermal
+    // on, so that slice's byte and energy shares must come from a
+    // duration recomputed at its end: the pinned doubles are those.
+    SocConfig cfg = testConfig();
+    cfg.thermal.enabled = false;
+    cfg.dvfs.enabled = false;
+    cfg.fabric.contentionEnabled = false;
+    cfg.cluster.loadBalanceProb = 0.0; // the lone task renews in place
+    SocSystem sys(cfg);
+    auto task = std::make_shared<Task>("hot");
+    task->compute({3.64e6 * 20, 200e6}, WorkClass::Scalar);
+    sys.scheduler().submit(task);
+    // Slices end at 4.005 ms and 8.005 ms (5 us context switch first).
+    sys.simulator().scheduleAt(sim::msToNs(6.0), [&sys, &cfg] {
+        sys.thermal().triggerEmergency(2.0 * cfg.thermal.throttleThreshold);
+    });
+    sys.run();
+    trace::Tracer &tracer = sys.tracer();
+    const auto &axi = tracer.counterStore(tracer.internCounter("axi_bytes"));
+    ASSERT_GE(axi.size(), 2u);
+    EXPECT_EQ(axi.whens[1], sim::usToNs(8005.0));
+    EXPECT_EQ(axi.values[1], 18203127.46415684);
+    EXPECT_EQ(sys.energy().domainMj(PowerDomain::BigCpu),
+              29.349975223776585);
 }
 
 // --- accelerator -----------------------------------------------------------
