@@ -8,10 +8,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "app/background_load.h"
+#include "app/pipeline.h"
 #include "imaging/convert.h"
 #include "imaging/crop.h"
 #include "imaging/letterbox.h"
@@ -25,6 +28,7 @@
 #include "postproc/multipose.h"
 #include "postproc/tokenizer.h"
 #include "postproc/topk.h"
+#include "sim/arena.h"
 #include "sim/engine_mode.h"
 #include "sim/event_queue.h"
 #include "sim/random.h"
@@ -33,6 +37,7 @@
 #include "soc/task.h"
 #include "trace/chrome_trace.h"
 #include "trace/tracer.h"
+#include "verify/scenario.h"
 
 namespace {
 
@@ -388,6 +393,55 @@ BM_SchedulerSlicePath(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_SchedulerSlicePath)->Arg(1'000);
+
+/**
+ * Per-scenario construction, the step before a scenario's event loop:
+ * arena-construct the SocSystem, the Application and the background
+ * loops of one fuzz-corpus config, as verify::runScenario does, and
+ * reset the arena. Nothing is scheduled or run. Iterations cycle
+ * through a fixed list of configs; items/sec is scenarios/sec.
+ */
+void
+BM_ScenarioConstruct(benchmark::State &state)
+{
+    std::vector<verify::Scenario> scenarios;
+    for (int i = 0; i < 64; ++i)
+        scenarios.push_back(verify::fuzzScenario(2021, i));
+    const auto *bg_model = models::findModel("mobilenet_v1");
+    sim::Arena arena;
+    std::size_t next = 0;
+    for (auto _ : state) {
+        const verify::Scenario &s = scenarios[next];
+        next = (next + 1) % scenarios.size();
+        sim::ArenaResetGuard guard(arena);
+        soc::SocSystem &sys = *arena.create<soc::SocSystem>(
+            soc::platformByName(s.socName), s.seed, sim::EngineMode::Fast,
+            &arena);
+        app::PipelineConfig cfg;
+        cfg.model = models::findModel(s.modelId);
+        cfg.dtype = s.dtype;
+        cfg.framework = s.framework;
+        cfg.mode = s.mode;
+        cfg.threads = s.threads;
+        cfg.instrumentationEnabled = s.instrumentation;
+        cfg.streamingCapture = s.streaming;
+        benchmark::DoNotOptimize(arena.create<app::Application>(sys, cfg));
+        auto add_loops = [&](int count, app::FrameworkKind fw, int pid) {
+            for (int i = 0; i < count; ++i) {
+                app::BackgroundLoadConfig bg;
+                bg.model = bg_model;
+                bg.framework = fw;
+                bg.processId = pid + i;
+                benchmark::DoNotOptimize(
+                    arena.create<app::BackgroundInferenceLoop>(sys, bg));
+            }
+        };
+        add_loops(s.dspLoadProcesses, app::FrameworkKind::TfliteHexagon, 100);
+        add_loops(s.cpuLoadProcesses, app::FrameworkKind::TfliteCpu, 200);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ScenarioConstruct);
 
 void
 BM_GraphBuildUncached(benchmark::State &state)

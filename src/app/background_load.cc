@@ -9,7 +9,7 @@ namespace aitax::app {
 BackgroundInferenceLoop::BackgroundInferenceLoop(soc::SocSystem &sys,
                                                  BackgroundLoadConfig cfg_in)
     : sys(sys), cfg(std::move(cfg_in)),
-      engine(*cfg.model, cfg.dtype, cfg.framework, cfg.threads)
+      engine(cachedEngine(*cfg.model, cfg.dtype, cfg.framework, cfg.threads))
 {
     assert(cfg.model != nullptr);
 }

@@ -47,7 +47,8 @@ class BackgroundInferenceLoop
   private:
     soc::SocSystem &sys;
     BackgroundLoadConfig cfg;
-    InferenceEngine engine;
+    /** Shared process-wide instance (cachedEngine()). */
+    const InferenceEngine &engine;
     bool stopped = false;
     sim::TimeNs horizon_ = 0;
     std::int64_t completed = 0;

@@ -1,6 +1,10 @@
 #include "app/engine.h"
 
 #include <cassert>
+#include <map>
+#include <mutex>
+#include <string>
+#include <tuple>
 
 namespace aitax::app {
 
@@ -76,6 +80,27 @@ InferenceEngine::appendInvoke(soc::SocSystem &sys, soc::Task &task,
         return;
     }
     tflite_->appendInvoke(sys, task, std::move(opts));
+}
+
+const InferenceEngine &
+cachedEngine(const models::ModelInfo &model, tensor::DType dtype,
+             FrameworkKind framework, int threads)
+{
+    using Key = std::tuple<std::string, tensor::DType, FrameworkKind, int>;
+    struct Cache
+    {
+        std::mutex mu;
+        std::map<Key, std::unique_ptr<const InferenceEngine>> engines;
+    };
+    // Never destroyed, like the graph cache's cells, so no engine dies
+    // under a thread that outlives static destruction.
+    static Cache *cache = new Cache;
+    const std::lock_guard<std::mutex> lock(cache->mu);
+    auto &slot = cache->engines[Key{model.id, dtype, framework, threads}];
+    if (!slot)
+        slot = std::make_unique<const InferenceEngine>(model, dtype,
+                                                       framework, threads);
+    return *slot;
 }
 
 } // namespace aitax::app

@@ -55,6 +55,20 @@ class InferenceEngine
     std::unique_ptr<runtime::snpe::Network> snpe_;
 };
 
+/**
+ * Process-wide immutable engine cache, the engine-level counterpart of
+ * models::cachedGraph().
+ *
+ * Each (model, dtype, framework, threads) engine is built at most once
+ * and never evicted; repeated calls, from any thread, return the same
+ * instance. Construction takes no SocSystem, draws no RNG and
+ * schedules nothing, so a cached engine behaves exactly like a fresh
+ * one. @p model must be a models::allModels() row (keyed by id).
+ */
+const InferenceEngine &cachedEngine(const models::ModelInfo &model,
+                                    tensor::DType dtype,
+                                    FrameworkKind framework, int threads);
+
 } // namespace aitax::app
 
 #endif // AITAX_APP_ENGINE_H

@@ -37,7 +37,8 @@ constexpr std::int64_t kBertInputChars = 256;
 Application::Application(soc::SocSystem &sys, PipelineConfig cfg_in)
     : sys(sys), cfg(std::move(cfg_in)),
       prof(HarnessProfile::forMode(cfg.mode)),
-      engine_(*cfg.model, cfg.dtype, cfg.framework, cfg.threads),
+      engine_(cachedEngine(*cfg.model, cfg.dtype, cfg.framework,
+                           cfg.threads)),
       camera_(cfg.camera), randomSource(cfg.stdlib),
       rng(sys.rng().fork("app:" + cfg.model->id))
 {

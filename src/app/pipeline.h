@@ -140,7 +140,8 @@ class Application
     soc::SocSystem &sys;
     PipelineConfig cfg;
     HarnessProfile prof;
-    InferenceEngine engine_;
+    /** Shared process-wide instance (cachedEngine()). */
+    const InferenceEngine &engine_;
     drivers::Instrumentation instr;
     capture::CameraModel camera_;
     capture::RandomInputSource randomSource;

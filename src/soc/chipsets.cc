@@ -97,22 +97,34 @@ makeSnapdragon865()
                           "Adreno 650", "Hexagon 698", 2.84, 1.80, 1.75);
 }
 
-std::vector<SocConfig>
+const std::vector<SocConfig> &
 allPlatforms()
 {
-    return {makeSnapdragon835(), makeSnapdragon845(),
-            makeSnapdragon855(), makeSnapdragon865()};
+    static const std::vector<SocConfig> table = {
+        makeSnapdragon835(), makeSnapdragon845(), makeSnapdragon855(),
+        makeSnapdragon865()};
+    return table;
 }
 
-SocConfig
+const SocConfig *
+findPlatform(std::string_view soc_name)
+{
+    for (const auto &cfg : allPlatforms())
+        if (cfg.socName == soc_name)
+            return &cfg;
+    return nullptr;
+}
+
+const SocConfig &
 platformByName(std::string_view soc_name)
 {
-    for (auto &cfg : allPlatforms())
-        if (cfg.socName == soc_name)
-            return cfg;
-    std::fprintf(stderr, "unknown platform: %.*s\n",
-                 static_cast<int>(soc_name.size()), soc_name.data());
-    std::abort();
+    const SocConfig *cfg = findPlatform(soc_name);
+    if (cfg == nullptr) {
+        std::fprintf(stderr, "unknown platform: %.*s\n",
+                     static_cast<int>(soc_name.size()), soc_name.data());
+        std::abort();
+    }
+    return *cfg;
 }
 
 } // namespace aitax::soc

@@ -27,11 +27,18 @@ SocConfig makeSnapdragon855();
 /** Snapdragon 865 HDK: Adreno 650, Hexagon 698. */
 SocConfig makeSnapdragon865();
 
-/** All four Table II platforms, oldest first. */
-std::vector<SocConfig> allPlatforms();
+/**
+ * All four Table II platforms, oldest first: one immutable table per
+ * process, built on first use (thread-safe).
+ */
+const std::vector<SocConfig> &allPlatforms();
 
-/** Look up a platform by SoC name (e.g. "Snapdragon 845"). */
-SocConfig platformByName(std::string_view soc_name);
+/** The table's platform with this SoC name, or nullptr. */
+const SocConfig *findPlatform(std::string_view soc_name);
+
+/** Look up a platform by SoC name (e.g. "Snapdragon 845"); aborts on
+ *  an unknown name. */
+const SocConfig &platformByName(std::string_view soc_name);
 
 } // namespace aitax::soc
 

@@ -111,7 +111,7 @@ sampleScenario(sim::RandomStream &rng)
     };
 
     const auto &zoo = models::allModels();
-    const auto platforms = soc::allPlatforms();
+    const auto &platforms = soc::allPlatforms();
 
     for (;;) {
         Scenario s;

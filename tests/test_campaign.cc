@@ -417,6 +417,8 @@ TEST(CampaignCli, MalformedNumericFlagsAreUsageErrors)
     EXPECT_EQ(cliExitStatus("sweep-serve --accept 0 --listen abc"), 2);
     EXPECT_EQ(cliExitStatus("serve --listen 0 --accept 0 --jobs 1x"), 2);
     EXPECT_EQ(cliExitStatus("--runs 3x"), 2);
+    // An unknown platform is a usage error too, not an abort.
+    EXPECT_EQ(cliExitStatus("--soc nosuch --runs 2"), 2);
     // Well-formed values still parse (no connection is accepted).
     EXPECT_EQ(cliExitStatus("serve --listen 0 --accept 0 --jobs 1"), 0);
 }

@@ -105,11 +105,13 @@ TEST(Tokenizer, BannedNamesInCommentsAndStringsAreNotIdentifiers)
     const auto toks =
         tokenize("// steady_clock::now()\n"
                  "const char *m = \"std::unordered_map<int,int>\";\n");
-    for (const auto &t : toks)
-        if (t.kind == TokKind::Identifier)
+    for (const auto &t : toks) {
+        if (t.kind == TokKind::Identifier) {
             EXPECT_TRUE(t.text != "steady_clock" &&
                         t.text != "unordered_map")
                 << t.text;
+        }
+    }
 }
 
 TEST(Tokenizer, ScopeResolutionIsOneToken)
@@ -126,9 +128,11 @@ TEST(Tokenizer, RawStringsSwallowFakeDelimiters)
 {
     const auto toks =
         tokenize("auto s = R\"x(rand() \" mt19937)x\"; int after = 1;");
-    for (const auto &t : toks)
-        if (t.kind == TokKind::Identifier)
+    for (const auto &t : toks) {
+        if (t.kind == TokKind::Identifier) {
             EXPECT_TRUE(t.text != "rand" && t.text != "mt19937") << t.text;
+        }
+    }
     // Lexing continued past the raw string.
     const bool sawAfter =
         std::any_of(toks.begin(), toks.end(), [](const auto &t) {
@@ -424,8 +428,9 @@ TEST(Determinism, FindingsAreSortedAndStableAcrossRuns)
     for (std::size_t i = 0; i < a.findings.size(); ++i) {
         EXPECT_EQ(a.findings[i].rule, b.findings[i].rule);
         EXPECT_EQ(a.findings[i].line, b.findings[i].line);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_FALSE(a.findings[i] < a.findings[i - 1]);
+        }
     }
 }
 
@@ -496,8 +501,9 @@ TEST(RepoIndexTest, FilesAreSortedRegardlessOfInsertionOrder)
     ASSERT_EQ(rev.files().size(), 3U);
     for (std::size_t i = 0; i < fwd.files().size(); ++i) {
         EXPECT_EQ(fwd.files()[i].path, rev.files()[i].path);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_LT(fwd.files()[i - 1].path, fwd.files()[i].path);
+        }
     }
     // The derived DOT graph is byte-identical too.
     EXPECT_EQ(fwd.dotGraph(), rev.dotGraph());

@@ -61,13 +61,15 @@ operator new[](std::size_t size)
     return ::operator new(size);
 }
 
-void
+// Kept out of line: inlined into a `delete` expression, GCC sees
+// free() on an operator-new pointer (-Wmismatched-new-delete).
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);

@@ -1,22 +1,28 @@
 /**
  * @file
  * Sweep-engine tests: work-stealing pool semantics, the shared
- * model-graph cache, and the determinism contract — the golden suite
- * and a fuzz batch must be byte-identical at --jobs 1 and --jobs 8.
+ * model-graph and inference-engine caches and the platform table, and
+ * the determinism contract — the golden suite and a fuzz batch must be
+ * byte-identical at --jobs 1 and --jobs 8.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "app/engine.h"
+#include "app/pipeline.h"
 #include "graph/graph.h"
 #include "models/zoo.h"
+#include "soc/chipsets.h"
+#include "soc/system.h"
 #include "sweep/sweep_runner.h"
 #include "verify/golden.h"
 #include "verify/scenario.h"
@@ -124,6 +130,75 @@ TEST(GraphCache, MatchesUncachedBuild)
     const auto built =
         models::buildGraph("mobilenet_v1", tensor::DType::Float32);
     EXPECT_EQ(cached->opCount(), built.opCount());
+}
+
+// --- shared engine cache and platform table ----------------------------
+
+TEST(EngineCache, PointerIdenticalAcrossThreads)
+{
+    constexpr int kThreads = 8;
+    const auto *model = models::findModel("inception_v3");
+    std::vector<const app::InferenceEngine *> seen(kThreads, nullptr);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&seen, model, t] {
+            seen[static_cast<std::size_t>(t)] = &app::cachedEngine(
+                *model, tensor::DType::UInt8,
+                app::FrameworkKind::TfliteHexagon, 4);
+        });
+    for (auto &th : threads)
+        th.join();
+    ASSERT_NE(seen[0], nullptr);
+    for (int t = 1; t < kThreads; ++t)
+        EXPECT_EQ(seen[static_cast<std::size_t>(t)], seen[0]);
+}
+
+TEST(EngineCache, DistinctPerKeyField)
+{
+    const auto &mobilenet = *models::findModel("mobilenet_v1");
+    const auto &squeezenet = *models::findModel("squeezenet");
+    const auto f32 = tensor::DType::Float32;
+    const auto cpu = app::FrameworkKind::TfliteCpu;
+    const app::InferenceEngine *base =
+        &app::cachedEngine(mobilenet, f32, cpu, 4);
+    EXPECT_EQ(base, &app::cachedEngine(mobilenet, f32, cpu, 4));
+    EXPECT_NE(base, &app::cachedEngine(squeezenet, f32, cpu, 4));
+    EXPECT_NE(base, &app::cachedEngine(mobilenet, tensor::DType::UInt8,
+                                       cpu, 4));
+    EXPECT_NE(base, &app::cachedEngine(mobilenet, f32,
+                                       app::FrameworkKind::TfliteGpu, 4));
+    EXPECT_NE(base, &app::cachedEngine(mobilenet, f32, cpu, 2));
+    EXPECT_EQ(base->kind(), cpu);
+}
+
+TEST(EngineCache, ApplicationUsesCachedEngine)
+{
+    soc::SocSystem sys(soc::platformByName("Snapdragon 845"), 7);
+    app::PipelineConfig cfg;
+    cfg.model = models::findModel("mobilenet_v1");
+    cfg.dtype = tensor::DType::UInt8;
+    cfg.framework = app::FrameworkKind::SnpeDsp;
+    cfg.threads = 2;
+    const app::Application application(sys, cfg);
+    EXPECT_EQ(&application.engine(),
+              &app::cachedEngine(*cfg.model, cfg.dtype, cfg.framework,
+                                 cfg.threads));
+}
+
+TEST(Platforms, OneTablePerProcess)
+{
+    const auto &table = soc::allPlatforms();
+    EXPECT_EQ(&table, &soc::allPlatforms());
+    const char *kOrder[] = {"Snapdragon 835", "Snapdragon 845",
+                            "Snapdragon 855", "Snapdragon 865"};
+    ASSERT_EQ(table.size(), std::size(kOrder));
+    for (std::size_t i = 0; i < table.size(); ++i) {
+        EXPECT_EQ(table[i].socName, kOrder[i]);
+        EXPECT_EQ(&soc::platformByName(kOrder[i]), &table[i]);
+        EXPECT_EQ(soc::findPlatform(kOrder[i]), &table[i]);
+    }
+    EXPECT_EQ(soc::findPlatform("Snapdragon 999"), nullptr);
 }
 
 // --- determinism contract --------------------------------------------

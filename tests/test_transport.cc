@@ -478,7 +478,7 @@ volatile std::sig_atomic_t g_pipeSignals = 0;
 void
 countPipeSignal(int)
 {
-    ++g_pipeSignals;
+    g_pipeSignals = g_pipeSignals + 1;
 }
 
 TEST(WorkerLoss, SigpipeDispositionRestoredOnEveryExitPath)

@@ -786,6 +786,14 @@ main(int argc, char **argv)
                      model.c_str());
         return 2;
     }
+    const soc::SocConfig *platform = soc::findPlatform(soc_name);
+    if (platform == nullptr) {
+        std::fprintf(stderr, "unknown platform '%s'; valid --soc names:\n",
+                     soc_name.c_str());
+        for (const auto &p : soc::allPlatforms())
+            std::fprintf(stderr, "  %s\n", p.socName.c_str());
+        return 2;
+    }
     if (runs <= 0 || threads <= 0)
         usage(argv[0]);
 
@@ -825,7 +833,7 @@ main(int argc, char **argv)
     else
         usage(argv[0]);
 
-    soc::SocSystem sys(soc::platformByName(soc_name), seed);
+    soc::SocSystem sys(*platform, seed);
     if (!faults_spec.empty()) {
         faults::FaultConfig fault_cfg;
         std::string error;
