@@ -327,7 +327,7 @@ BM_EventQueueEngineChained(benchmark::State &state)
             q.popAndRun();
         benchmark::DoNotOptimize(fired);
     }
-    state.SetLabel(mode == sim::EngineMode::Fast ? "fast" : "reference");
+    state.SetLabel(sim::engineModeName(mode));
     state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_EventQueueEngineChained)
@@ -355,7 +355,7 @@ BM_EventQueueEngineSchedulePop(benchmark::State &state)
             q.popAndRun();
         benchmark::DoNotOptimize(sink);
     }
-    state.SetLabel(mode == sim::EngineMode::Fast ? "fast" : "reference");
+    state.SetLabel(sim::engineModeName(mode));
     state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_EventQueueEngineSchedulePop)

@@ -4,7 +4,7 @@
  *
  * Runs a fixed scenario matrix (models x frameworks x harness modes x
  * chipsets x seeds) three times — serially on the Fast engine, on the
- * work-stealing sweep pool with the Fast engine, and on the pool with
+ * sweep pool with the Fast engine, and on the pool with
  * the Reference engine — and emits a machine-readable BENCH_sweep.json
  * with scenarios/sec, the events/sec trajectory across the three
  * passes, p50 per-scenario wall time, the parallel speedup, and the
@@ -20,15 +20,17 @@
  * After the in-process passes the harness re-runs the matrix as a
  * multiprocess *campaign* (src/sweep/campaign.h) at --shards 1/2/4,
  * re-exec'ing itself in a hidden `--serve` worker mode, and records
- * the per-shard scaling rows plus the 4-vs-1 throughput ratio. The
- * campaign aggregate must be byte-identical across every shard count
- * (enforced unconditionally, like the checksum match); with --gate on
- * a host with >= 4 cores the 4-shard campaign must also be > 1.5x the
+ * the per-shard scaling rows plus the 4-vs-1 throughput ratio. Each
+ * worker rebuilds the matrix from the campaign spec
+ * ("corpus=bench scenarios=N runs=N ..."). The campaign aggregate must
+ * be byte-identical across every shard count (enforced
+ * unconditionally, like the checksum match); with --gate on a host
+ * with >= 4 cores the 4-shard campaign must also be > 1.5x the
  * 1-shard throughput.
  *
  * Usage: sweep_throughput [--quick] [--scenarios N] [--runs N]
  *                         [--jobs N] [--out FILE] [--gate FILE]
- *        sweep_throughput --serve --scenarios N --runs N   (worker)
+ *        sweep_throughput --serve [--jobs N]               (worker)
  */
 
 #include <algorithm>
@@ -224,15 +226,12 @@ benchSpecResolver()
 /**
  * Hidden worker mode: serve matrix scenarios over the campaign's
  * stdin/stdout protocol. The coordinator (the campaign passes below)
- * re-execs this binary with --serve plus the matrix dimensions, so a
- * worker builds the exact corpus the coordinator is sharding; the
- * spec handshake re-resolves the same corpus from the identity line.
+ * re-execs this binary with --serve, and the spec handshake resolves
+ * the exact corpus the coordinator is sharding from its identity line.
  */
 int
 serveMain(int argc, char **argv)
 {
-    int scenarios = 64;
-    int runs = 100;
     sweep::WorkerOptions opts;
     opts.jobs = 1;
     for (int i = 2; i < argc; ++i) {
@@ -242,19 +241,14 @@ serveMain(int argc, char **argv)
                 std::exit(2);
             return argv[++i];
         };
-        if (arg == "--scenarios")
-            scenarios = std::atoi(next());
-        else if (arg == "--runs")
-            runs = std::atoi(next());
-        else if (arg == "--jobs")
+        if (arg == "--jobs")
             opts.jobs = std::atoi(next());
         else if (arg == "--exit-after")
             opts.exitAfterRanges = std::atoi(next());
         else
             std::exit(2);
     }
-    return sweep::runWorker(opts, benchScenarioFn(scenarios, runs),
-                            benchSpecResolver());
+    return sweep::runWorker(opts, {}, benchSpecResolver());
 }
 
 /** One shard-count row of the campaign scaling curve. */
@@ -291,8 +285,8 @@ main(int argc, char **argv)
         };
         if (arg == "--quick") {
             // 256 scenarios actually stretch the pool and the campaign
-            // sharding below (16 finished before work-stealing or the
-            // chunk dispatcher had anything to balance).
+            // sharding below (16 finished before the pool's shared
+            // queue or the chunk dispatcher had anything to balance).
             scenarios = 256;
             runs = 30;
         } else if (arg == "--scenarios") {
@@ -437,12 +431,7 @@ main(int argc, char **argv)
             "corpus=bench scenarios=" + std::to_string(scenarios) +
             " runs=" + std::to_string(runs) + " chunk=32 engine=fast";
         ccfg.corpusSpec = ccfg.identity;
-        ccfg.workerCmd = {self_exe,
-                          "--serve",
-                          "--scenarios",
-                          std::to_string(scenarios),
-                          "--runs",
-                          std::to_string(runs)};
+        ccfg.workerCmd = {self_exe, "--serve", "--jobs", "1"};
         CampaignRow row;
         row.shards = shards;
         std::uint64_t campaign_events = 0;

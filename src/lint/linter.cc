@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "lint/graph_rules.h"
@@ -92,16 +91,6 @@ lintSource(std::string_view virtualPath, std::string_view content,
     res.filesScanned = 1;
     settle(std::move(raw), nullptr, &rec.sup, /*strict=*/false, res);
     return res;
-}
-
-LintResult
-lintFile(const std::string &diskPath, std::string_view virtualPath,
-         const std::vector<std::string> &ruleFilter)
-{
-    std::ifstream in(diskPath, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return lintSource(virtualPath, buf.str(), ruleFilter);
 }
 
 LintResult

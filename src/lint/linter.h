@@ -69,14 +69,6 @@ LintResult lintSource(std::string_view virtualPath,
                       const std::vector<std::string> &ruleFilter = {});
 
 /**
- * Lint an on-disk file. @p diskPath is read; findings are reported
- * against @p virtualPath. File-local rules only.
- */
-LintResult lintFile(const std::string &diskPath,
-                    std::string_view virtualPath,
-                    const std::vector<std::string> &ruleFilter = {});
-
-/**
  * Run both passes over a prebuilt index: file-local rules per file,
  * graph rules across files, suppressions applied to everything.
  */

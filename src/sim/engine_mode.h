@@ -24,6 +24,9 @@
 #ifndef AITAX_SIM_ENGINE_MODE_H
 #define AITAX_SIM_ENGINE_MODE_H
 
+#include <initializer_list>
+#include <string_view>
+
 namespace aitax::sim {
 
 /** Which inner event-loop engine a Simulator runs. */
@@ -40,6 +43,22 @@ inline const char *
 engineModeName(EngineMode mode)
 {
     return mode == EngineMode::Reference ? "reference" : "fast";
+}
+
+/**
+ * Inverse of engineModeName: set @p out from "fast" or "reference".
+ * @return false, leaving @p out untouched, for any other name.
+ */
+inline bool
+parseEngineMode(std::string_view name, EngineMode &out)
+{
+    for (const EngineMode mode :
+         {EngineMode::Fast, EngineMode::Reference})
+        if (name == engineModeName(mode)) {
+            out = mode;
+            return true;
+        }
+    return false;
 }
 
 } // namespace aitax::sim

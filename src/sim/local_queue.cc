@@ -14,12 +14,10 @@ void
 LocalEventQueue::push(std::size_t stream, TimeNs when, EventFn fn)
 {
     assert(stream < streams_.size());
-    ++pushes_;
     // Claim the global FIFO seq now, exactly where a schedule() call
     // would have — parking must not change tie order.
     const std::uint64_t seq = sim_.reserveSeqs(1);
     if (sim_.mode() == EngineMode::Reference) {
-        ++installs_;
         sim_.scheduleAtSeq(when, seq, std::move(fn));
         return;
     }
@@ -43,20 +41,10 @@ LocalEventQueue::push(std::size_t stream, TimeNs when, EventFn fn)
     if (cand.when < res.when ||
         (cand.when == res.when && cand.seq < res.seq)) {
         sim_.cancel(residentId_);
-        ++swaps_;
         residentStream_ = kNone;
         residentId_ = 0;
         install(stream);
     }
-}
-
-std::size_t
-LocalEventQueue::parked() const
-{
-    std::size_t n = 0;
-    for (const Stream &st : streams_)
-        n += st.entries.size() - st.head;
-    return n;
 }
 
 void
@@ -64,7 +52,6 @@ LocalEventQueue::install(std::size_t stream)
 {
     Entry &e = streams_[stream].front();
     residentStream_ = stream;
-    ++installs_;
     residentId_ = sim_.scheduleAtSeq(e.when, e.seq, [this] { fire(); });
 }
 

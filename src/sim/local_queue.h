@@ -51,23 +51,6 @@ class LocalEventQueue
      */
     void push(std::size_t stream, TimeNs when, EventFn fn);
 
-    /** Entries currently held (parked locally or resident in the heap). */
-    std::size_t parked() const;
-
-    // --- counters (cache-efficacy observability) ----------------------
-
-    /** Total entries pushed. */
-    std::uint64_t pushes() const { return pushes_; }
-    /**
-     * Entries handed to the global heap. In Reference mode this equals
-     * pushes(); in Fast mode it counts resident installs, and
-     * pushes() - heapInstalls() + residentSwaps() entries never cost a
-     * heap insertion while non-earliest.
-     */
-    std::uint64_t heapInstalls() const { return installs_; }
-    /** Resident entries displaced by an earlier push to another stream. */
-    std::uint64_t residentSwaps() const { return swaps_; }
-
   private:
     struct Entry
     {
@@ -95,9 +78,6 @@ class LocalEventQueue
     std::vector<Stream> streams_;
     std::size_t residentStream_ = kNone;
     EventId residentId_ = 0;
-    std::uint64_t pushes_ = 0;
-    std::uint64_t installs_ = 0;
-    std::uint64_t swaps_ = 0;
 };
 
 } // namespace aitax::sim

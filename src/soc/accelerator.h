@@ -100,12 +100,6 @@ class Accelerator
     std::size_t queueDepth() const { return queue.size(); }
     std::int64_t jobsCompleted() const { return completed; }
 
-    /** Completion-event local queue (lazy heap feed) counters. */
-    const sim::LocalEventQueue &completionQueue() const
-    {
-        return completions_;
-    }
-
   private:
     sim::Simulator &sim;
     AcceleratorConfig cfg;

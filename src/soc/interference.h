@@ -69,9 +69,6 @@ class InterferenceGenerator
 
     std::int64_t tasksInjected() const { return injected; }
 
-    /** Arrival-queue counters (lazy-feed observability). */
-    const sim::LocalEventQueue &arrivalQueue() const { return queue_; }
-
   private:
     /** LocalEventQueue stream per arrival source. */
     static constexpr std::size_t kUiStream = 0;

@@ -466,13 +466,9 @@ Coordinator::handleLine(WorkerProc &w, const std::string &line)
             return fail("worker did not identify itself: \"" + line +
                         "\"");
         w.sawBanner = true;
-        if (!cfg.corpusSpec.empty()) {
-            w.ch->sendLine("spec " + cfg.corpusSpec);
-            w.awaitingSpec = true;
-            w.lastActivity = Clock::now();
-            return true;
-        }
-        assignNext(w);
+        w.ch->sendLine("spec " + cfg.corpusSpec);
+        w.awaitingSpec = true;
+        w.lastActivity = Clock::now();
         return true;
     }
     if (line == "spec-ok") {
@@ -690,8 +686,8 @@ runCampaign(const CampaignConfig &cfg)
         sum.error = "invalid campaign config";
         return sum;
     }
-    if (tcp && cfg.corpusSpec.empty()) {
-        sum.error = "tcp transport requires a corpus spec "
+    if (cfg.corpusSpec.empty()) {
+        sum.error = "a campaign requires a corpus spec "
                     "(workers resolve the corpus locally)";
         return sum;
     }

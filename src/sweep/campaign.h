@@ -20,12 +20,10 @@
  *                           "done <begin> <end> <cache h m s d>"
  *
  * This is protocol v2, the only one: every worker is built from this
- * tree. Workers address their corpus *by spec*: the coordinator sends
- * the campaign identity line and the worker resolves it to a
- * ScenarioFn locally (SpecResolver), so remote workers never receive
- * scenario payloads and one daemon serves many campaigns. A campaign
- * without a spec runs on the corpus bound in the worker's argv (pipe
- * transport only).
+ * tree. Workers address their corpus *by spec* and only by spec: the
+ * coordinator sends the campaign identity line first and the worker
+ * resolves it to a ScenarioFn locally (SpecResolver), so no worker
+ * receives scenario payloads and one daemon serves many campaigns.
  * Every number on the wire is formatted and parsed locale-independently
  * (stats/numfmt.h) — a comma-decimal LC_NUMERIC cannot corrupt it.
  *
@@ -122,12 +120,14 @@ struct WorkerOptions
 
 /**
  * Serve sweep ranges over stdin/stdout until "quit" or EOF.
- * @param resolver optional spec-addressed corpus resolution; without
- *        it a "spec" command is acknowledged but @p fn stays bound.
+ * @param resolver binds the corpus from the coordinator's "spec" line,
+ *        the only corpus binding.
+ * @param fn ignored; kept only so existing three-argument callers
+ *        still compile.
  * @return process exit code (0 on a clean quit).
  */
 int runWorker(const WorkerOptions &opts, const ScenarioFn &fn,
-              const SpecResolver &resolver = {});
+              const SpecResolver &resolver);
 
 /** Mergeable aggregate state of a campaign (or one chunk of it). */
 struct CampaignAggregate
@@ -167,22 +167,23 @@ struct CampaignConfig
     /** Worker processes. */
     int shards = 1;
     /**
-     * argv of one worker process (argv[0] = executable). The
-     * coordinator appends nothing; bake seed/jobs/engine flags in.
-     * Ignored when `workers` selects the TCP transport.
+     * argv of one worker process (argv[0] = executable): the binary,
+     * its worker verb and --jobs. The corpus comes from `corpusSpec`,
+     * never from argv; the coordinator appends only the crash-injection
+     * flag. Ignored when `workers` selects the TCP transport.
      */
     std::vector<std::string> workerCmd;
     /**
      * Remote worker endpoints ("host:port"), one session per entry
      * (repeat an endpoint for several sessions against one daemon).
      * Non-empty selects the TCP transport and overrides shards /
-     * workerCmd. Remote workers resolve `corpusSpec` themselves.
+     * workerCmd.
      */
     std::vector<std::string> workers;
     /**
-     * Campaign spec sent to workers ("spec <corpusSpec>") before
-     * the first range; conventionally the identity string. Empty
-     * skips the handshake (argv-bound corpora, pipe transport only).
+     * Campaign spec sent to every worker ("spec <corpusSpec>") before
+     * the first range; conventionally the identity string. Required
+     * on both transports: it is how a worker binds its corpus.
      */
     std::string corpusSpec;
     /**

@@ -108,7 +108,7 @@ FrameLineIO::writeLine(std::string_view line)
 // ---------------------------------------------------------------------
 
 int
-serveSession(LineIO &io, const WorkerOptions &opts, ScenarioFn fn,
+serveSession(LineIO &io, const WorkerOptions &opts,
              const SpecResolver &resolver)
 {
     io.writeLine(kWorkerBannerV2);
@@ -116,6 +116,7 @@ serveSession(LineIO &io, const WorkerOptions &opts, ScenarioFn fn,
 
     SweepRunner pool(opts.jobs);
     SnapshotCacheStats last = snapshotCacheStatsNow();
+    ScenarioFn fn; // bound by the "spec" line
     int rangesSeen = 0;
     std::string line;
     while (io.readLine(line)) {
@@ -124,24 +125,14 @@ serveSession(LineIO &io, const WorkerOptions &opts, ScenarioFn fn,
         if (line.compare(0, 4, "spec") == 0) {
             const std::string spec =
                 line.size() > 5 ? line.substr(5) : std::string();
-            if (resolver) {
-                std::string err;
-                ScenarioFn resolved = resolver(spec, &err);
-                if (!resolved) {
-                    io.writeLine("spec-err " +
-                                 (err.empty() ? "unresolvable spec"
-                                              : err));
-                    io.flush();
-                    return 2;
-                }
-                fn = std::move(resolved);
-            } else if (!fn) {
-                io.writeLine("spec-err worker has no corpus resolver");
+            std::string err;
+            fn = resolver ? resolver(spec, &err) : ScenarioFn();
+            if (!fn) {
+                io.writeLine("spec-err " +
+                             (err.empty() ? "unresolvable spec" : err));
                 io.flush();
                 return 2;
             }
-            // No resolver but an argv-bound corpus: the spec is
-            // informative (identity already fixed at exec time).
             io.writeLine("spec-ok");
             io.flush();
             continue;
@@ -218,15 +209,15 @@ serveSession(LineIO &io, const WorkerOptions &opts, ScenarioFn fn,
 }
 
 int
-runWorker(const WorkerOptions &opts, const ScenarioFn &fn,
+runWorker(const WorkerOptions &opts, const ScenarioFn & /*unused*/,
           const SpecResolver &resolver)
 {
     StdioLineIO io;
-    return serveSession(io, opts, fn, resolver);
+    return serveSession(io, opts, resolver);
 }
 
 // ---------------------------------------------------------------------
-// Socket listeners
+// The daemon's socket listener
 // ---------------------------------------------------------------------
 
 namespace {
@@ -290,42 +281,6 @@ acceptRobust(int listenFd)
 } // namespace
 
 int
-serveTcpWorker(const std::string &bindAddr, int port,
-               const WorkerOptions &opts, ScenarioFn fn,
-               const SpecResolver &resolver, int acceptLimit,
-               const std::string &portFile)
-{
-    int boundPort = port;
-    const int listenFd = listenOn(bindAddr, port, &boundPort);
-    if (listenFd < 0) {
-        std::fprintf(stderr,
-                     "sweep-serve: cannot listen on %s:%d: %s\n",
-                     bindAddr.c_str(), port, std::strerror(errno));
-        return 1;
-    }
-    std::printf("sweep-serve: listening on %s:%d\n", bindAddr.c_str(),
-                boundPort);
-    std::fflush(stdout);
-    writePortFile(portFile, boundPort);
-
-    int sessions = 0;
-    while (acceptLimit < 0 || sessions < acceptLimit) {
-        const int conn = acceptRobust(listenFd);
-        if (conn < 0)
-            break;
-        ++sessions;
-        FrameLineIO io(conn); // closes conn
-        const int rc = serveSession(io, opts, fn, resolver);
-        if (rc != 0)
-            std::fprintf(stderr,
-                         "sweep-serve: session %d ended with %d\n",
-                         sessions, rc);
-    }
-    close(listenFd);
-    return 0;
-}
-
-int
 runServeDaemon(const DaemonOptions &opts, const SpecResolver &resolver)
 {
     if (!resolver) {
@@ -370,8 +325,7 @@ runServeDaemon(const DaemonOptions &opts, const SpecResolver &resolver)
             WorkerOptions session;
             session.jobs = opts.jobs;
             FrameLineIO io(conn);
-            const int rc =
-                serveSession(io, session, ScenarioFn(), resolver);
+            const int rc = serveSession(io, session, resolver);
             std::_Exit(rc);
         }
         close(conn);

@@ -1,7 +1,8 @@
 /**
  * @file
- * Worker-side campaign protocol service: stdio sessions, socket
- * sessions, and the long-running `aitax serve` daemon.
+ * Worker-side campaign protocol service: one session loop, served
+ * over stdio (pipe workers, `aitax_cli sweep-serve`) or over a socket
+ * by the long-running `aitax_cli serve` daemon, the only TCP server.
  *
  * Sessions speak protocol v2, the only one (see campaign.h for the
  * full grammar):
@@ -10,14 +11,15 @@
  *    other first line.
  *  - worker-side corpus addressing: "spec <text>" binds the scenario
  *    corpus *by description* (the campaign identity line), answered
- *    with "spec-ok" or "spec-err <why>". Remote workers never receive
+ *    with "spec-ok" or "spec-err <why>". It is the only corpus
+ *    binding and must precede the first range. Workers never receive
  *    scenario payloads — they resolve (identity, chunk) locally, so a
  *    daemon can serve many different campaigns concurrently.
  *  - liveness: "hb" acknowledges each range command before the chunk
  *    runs, and result lines stream back in sub-slices, giving the
  *    coordinator's hung-worker deadline something to observe.
  *
- * The daemon (`aitax serve`) forks one server process per accepted
+ * The daemon (`aitax_cli serve`) forks one server process per accepted
  * connection: snapshot-cache counters, SweepRunner pools and any
  * resolved corpus state are per-campaign isolated by the process
  * boundary, and a session crash cannot take down the daemon or a
@@ -76,28 +78,14 @@ class FrameLineIO final : public LineIO
 /**
  * Serve one coordinator session over @p io until "quit" or EOF.
  *
- * @param fn corpus bound at startup (argv-addressed); may be empty if
- *        a @p resolver is supplied and the coordinator sends "spec".
- * @param resolver optional worker-side corpus addressing: maps a spec
- *        line to a ScenarioFn, or returns an empty function with
- *        *error set ("spec-err" goes back on the wire).
+ * @param resolver worker-side corpus addressing: maps the session's
+ *        spec line to a ScenarioFn, or returns an empty function with
+ *        *error set ("spec-err" goes back on the wire). A range before
+ *        an accepted spec ends the session.
  * @return process exit code (0 on clean quit / EOF).
  */
-int serveSession(LineIO &io, const WorkerOptions &opts, ScenarioFn fn,
+int serveSession(LineIO &io, const WorkerOptions &opts,
                  const SpecResolver &resolver);
-
-/**
- * `aitax_cli sweep-serve --listen`: bind @p bindAddr:@p port (port 0
- * picks an ephemeral port), announce "sweep-serve: listening on
- * <addr>:<port>" on stdout (and into @p portFile when non-empty, port
- * number only), then serve sessions *sequentially* in-process.
- * @param acceptLimit exit after this many sessions; < 0 serves
- *        forever. @return exit code.
- */
-int serveTcpWorker(const std::string &bindAddr, int port,
-                   const WorkerOptions &opts, ScenarioFn fn,
-                   const SpecResolver &resolver, int acceptLimit,
-                   const std::string &portFile);
 
 struct DaemonOptions
 {
@@ -112,11 +100,11 @@ struct DaemonOptions
 };
 
 /**
- * `aitax serve`: long-running fleet worker daemon. Accepts any number
- * of concurrent campaign connections, forking one server process per
- * connection (per-campaign isolation of snapshot-cache stats and
- * corpus state). Corpora are always spec-addressed — @p resolver is
- * mandatory. Announces "aitax-serve: listening on <addr>:<port>".
+ * `aitax_cli serve`: long-running fleet worker daemon. Accepts any
+ * number of concurrent campaign connections, forking one server
+ * process per connection (per-campaign isolation of snapshot-cache
+ * stats and corpus state). @p resolver is mandatory. Announces
+ * "aitax-serve: listening on <addr>:<port>".
  */
 int runServeDaemon(const DaemonOptions &opts,
                    const SpecResolver &resolver);

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <exception>
 #include <string_view>
 #include <thread>
 
 #include "core/thread_annotations.h"
+#include "stats/numfmt.h"
 
 namespace aitax::sweep {
 
@@ -33,12 +34,14 @@ consumeJobsFlag(int &argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         if (std::string_view(argv[i]) != "--jobs")
             continue;
-        if (i + 1 < argc)
-            requested = std::atoi(argv[i + 1]);
-        const int removed = (i + 1 < argc) ? 2 : 1;
-        for (int j = i; j + removed < argc; ++j)
-            argv[j] = argv[j + removed];
-        argc -= removed;
+        if (i + 1 >= argc || !stats::parseWhole(argv[i + 1], requested)) {
+            std::fprintf(stderr, "%s: --jobs needs a whole number\n",
+                         argv[0]);
+            std::exit(2);
+        }
+        for (int j = i; j + 2 <= argc; ++j) // keeps argv[argc] null
+            argv[j] = argv[j + 2];
+        argc -= 2;
         break;
     }
     return effectiveJobs(requested);
@@ -47,13 +50,6 @@ consumeJobsFlag(int &argc, char **argv)
 SweepRunner::SweepRunner(int jobs) : jobs_(effectiveJobs(jobs)) {}
 
 namespace {
-
-/** One worker's run of job indices; mutex-guarded for stealing. */
-struct WorkDeque
-{
-    core::Mutex m;
-    std::deque<std::size_t> d AITAX_GUARDED_BY(m);
-};
 
 /** First exception thrown by any worker; later ones are dropped. */
 struct ErrorSlot
@@ -77,76 +73,31 @@ SweepRunner::forEach(std::size_t count,
         return;
     }
 
-    const std::size_t n_workers = std::min(workers, count);
-    std::vector<WorkDeque> deques(n_workers);
-    // Contiguous blocks: neighbouring scenarios often share cached
-    // graphs, and block handoff keeps steals coarse-grained. Worker w
-    // owns exactly the i with i * n_workers / count == w; filling per
-    // worker keeps every guarded access under its deque's mutex.
-    for (std::size_t w = 0; w < n_workers; ++w) {
-        const std::size_t lo =
-            (w * count + n_workers - 1) / n_workers;
-        const std::size_t hi =
-            ((w + 1) * count + n_workers - 1) / n_workers;
-        const core::MutexLock lock(deques[w].m);
-        for (std::size_t i = lo; i < hi; ++i)
-            deques[w].d.push_back(i);
-    }
-
-    std::atomic<bool> stop{false};
+    // One shared cursor: each worker claims the next unclaimed index,
+    // so an idle worker always takes whatever work is left.
+    std::atomic<std::size_t> next{0};
     ErrorSlot error;
 
-    auto worker = [&](std::size_t self) {
-        for (;;) {
-            if (stop.load(std::memory_order_relaxed))
-                return;
-            std::size_t index = 0;
-            bool found = false;
-            {
-                const core::MutexLock lock(deques[self].m);
-                if (!deques[self].d.empty()) {
-                    index = deques[self].d.front();
-                    deques[self].d.pop_front();
-                    found = true;
-                }
-            }
-            if (!found) {
-                // Steal from the back of the fullest victim.
-                std::size_t victim = n_workers;
-                std::size_t victim_size = 0;
-                for (std::size_t v = 0; v < n_workers; ++v) {
-                    if (v == self)
-                        continue;
-                    const core::MutexLock lock(deques[v].m);
-                    if (deques[v].d.size() > victim_size) {
-                        victim_size = deques[v].d.size();
-                        victim = v;
-                    }
-                }
-                if (victim == n_workers)
-                    return; // every deque empty: sweep drained
-                const core::MutexLock lock(deques[victim].m);
-                if (deques[victim].d.empty())
-                    continue; // lost the race; rescan
-                index = deques[victim].d.back();
-                deques[victim].d.pop_back();
-            }
+    auto worker = [&] {
+        for (std::size_t index = next.fetch_add(1); index < count;
+             index = next.fetch_add(1)) {
             try {
                 fn(index);
             } catch (...) {
                 const core::MutexLock lock(error.m);
                 if (!error.first)
                     error.first = std::current_exception();
-                stop.store(true, std::memory_order_relaxed);
+                next.store(count); // stop handing out indices
                 return;
             }
         }
     };
 
+    const std::size_t n_workers = std::min(workers, count);
     std::vector<std::thread> threads;
     threads.reserve(n_workers);
     for (std::size_t w = 0; w < n_workers; ++w)
-        threads.emplace_back(worker, w);
+        threads.emplace_back(worker);
     for (auto &t : threads)
         t.join();
 

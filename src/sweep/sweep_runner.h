@@ -4,16 +4,17 @@
  *
  * Every figure in the paper is a sweep — models x chipsets x
  * frameworks x harness modes x seeds — of *independent* simulations.
- * SweepRunner executes those scenarios on a work-stealing thread pool
- * while preserving the serial contract: results come back in
- * submission (index) order, and each job owns its whole world (a
- * private SocSystem, RNG and tracer constructed inside the job), so
- * output is byte-identical for --jobs 1 and --jobs N.
+ * SweepRunner executes those scenarios on a thread pool with one
+ * shared work queue while preserving the serial contract: results
+ * come back in submission (index) order, and each job owns its whole
+ * world (a private SocSystem, RNG and tracer constructed inside the
+ * job), so output is byte-identical for --jobs 1 and --jobs N.
  *
  * Determinism contract: parallelism is *across* simulations, never
  * inside one. A job must not touch mutable global state; the shared
- * model-graph cache (models::cachedGraph) is safe because it is
- * immutable after its one-time call_once construction.
+ * setup caches (models::cachedGraph, app::cachedEngine) are safe
+ * because each entry is immutable once built, and they are
+ * process-wide, so it does not matter which thread runs which index.
  */
 
 #ifndef AITAX_SWEEP_SWEEP_RUNNER_H
@@ -36,19 +37,21 @@ int effectiveJobs(int requested);
 
 /**
  * Parse a `--jobs N` flag out of (argc, argv), removing it from the
- * vector. @return the resolved worker count (effectiveJobs applied).
+ * vector. N must be one whole number (stats::parseWhole); a missing
+ * or malformed value prints a usage error and exits 2.
+ * @return the resolved worker count (effectiveJobs applied).
  * Unknown arguments are left untouched for the caller.
  */
 int consumeJobsFlag(int &argc, char **argv);
 
 /**
- * Work-stealing pool for embarrassingly parallel scenario sweeps.
+ * Thread pool for embarrassingly parallel scenario sweeps.
  *
- * Indices [0, count) are pre-partitioned into contiguous per-worker
- * runs; a worker drains its own run front-to-back and steals from the
- * back of the busiest victim when it runs dry. With jobs() == 1 the
- * sweep executes inline on the calling thread — no pool, identical
- * code path to the pre-parallel harnesses.
+ * Workers claim indices [0, count) one at a time from a shared atomic
+ * cursor, so whichever worker is idle takes the next index and no
+ * worker sits idle while work is left. With jobs() == 1 the sweep
+ * executes inline on the calling thread — no pool, identical code
+ * path to the pre-parallel harnesses.
  */
 class SweepRunner
 {

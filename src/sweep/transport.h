@@ -13,8 +13,8 @@
  *    or any wait error counts as *unclean* so the in-flight chunk is
  *    re-dispatched rather than silently dropped).
  *
- *  - makeTcpTransport: connect to `host:port` worker endpoints
- *    (`aitax_cli sweep-serve --listen` or the `aitax serve` daemon).
+ *  - makeTcpTransport: connect to `host:port` worker endpoints (the
+ *    `aitax_cli serve` daemon, the only TCP server).
  *    The wire format is length-delimited frames — a 4-byte big-endian
  *    payload length followed by one protocol line without its '\n' —
  *    decoded back into newline-terminated lines on receipt, so the

@@ -13,6 +13,8 @@
  * Campaigns here drive the real aitax_cli `sweep-serve` worker over
  * the real fork/exec pipe protocol (AITAX_CLI_PATH is baked in by the
  * build), so what this suite passes is what production campaigns run.
+ * Manifests carry this process's pid (tempPath), so two test processes
+ * running at once never share one.
  */
 
 #include <gtest/gtest.h>
@@ -211,17 +213,19 @@ campaignConfig(int shards, int jobs)
                    " scenarios=" + std::to_string(kScenarios) +
                    " chunk=" + std::to_string(kChunk) +
                    " faults=0 engine=fast";
-    // Exercise the v2 spec handshake on every pipe campaign: the
-    // worker re-resolves its corpus from this line and must produce
-    // the same bytes as its argv-bound binding.
+    // The worker binds its corpus from this line alone.
     cfg.corpusSpec = cfg.identity;
-    cfg.workerCmd = {AITAX_CLI_PATH,
-                     "sweep-serve",
-                     "--seed",
-                     std::to_string(kSeed),
-                     "--jobs",
+    cfg.workerCmd = {AITAX_CLI_PATH, "sweep-serve", "--jobs",
                      std::to_string(jobs)};
     return cfg;
+}
+
+/** A per-process temp file name: concurrent runs never collide. */
+std::string
+tempPath(const std::string &name)
+{
+    return testing::TempDir() + "aitax_" + std::to_string(getpid()) +
+           "_" + name;
 }
 
 std::string
@@ -277,9 +281,8 @@ TEST(Campaign, InterruptAndResumeReproducesBytes)
     // Interrupt at several different chunk frontiers; every resumed
     // completion must reproduce the uninterrupted bytes.
     for (const int stop_after : {1, 3}) {
-        const std::string manifest =
-            testing::TempDir() + "aitax_campaign_resume_" +
-            std::to_string(stop_after) + ".txt";
+        const std::string manifest = tempPath(
+            "campaign_resume_" + std::to_string(stop_after) + ".txt");
         std::remove(manifest.c_str());
 
         auto cfg = campaignConfig(2, 1);
@@ -309,8 +312,7 @@ TEST(Campaign, InterruptAndResumeReproducesBytes)
 
 TEST(Campaign, ResumeRejectsForeignManifest)
 {
-    const std::string manifest =
-        testing::TempDir() + "aitax_campaign_foreign.txt";
+    const std::string manifest = tempPath("campaign_foreign.txt");
     std::remove(manifest.c_str());
 
     auto cfg = campaignConfig(1, 1);
@@ -414,11 +416,14 @@ TEST(CampaignCli, MalformedNumericFlagsAreUsageErrors)
     EXPECT_EQ(cliExitStatus("campaign --scenarios 8 --worker-deadline 5s"),
               2);
     EXPECT_EQ(cliExitStatus("campaign --scenarios 8 --seed -1"), 2);
-    EXPECT_EQ(cliExitStatus("sweep-serve --accept 0 --listen abc"), 2);
+    EXPECT_EQ(cliExitStatus("sweep-serve --jobs 1x"), 2);
+    EXPECT_EQ(cliExitStatus("sweep-serve --exit-after abc"), 2);
     EXPECT_EQ(cliExitStatus("serve --listen 0 --accept 0 --jobs 1x"), 2);
     EXPECT_EQ(cliExitStatus("--runs 3x"), 2);
-    // An unknown platform is a usage error too, not an abort.
+    // An unknown platform or engine is a usage error too, not an abort.
     EXPECT_EQ(cliExitStatus("--soc nosuch --runs 2"), 2);
+    EXPECT_EQ(cliExitStatus("campaign --scenarios 8 --engine warp"), 2);
+    EXPECT_EQ(cliExitStatus("verify --fuzz 0 --engine warp"), 2);
     // Well-formed values still parse (no connection is accepted).
     EXPECT_EQ(cliExitStatus("serve --listen 0 --accept 0 --jobs 1"), 0);
 }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Sweep-engine tests: work-stealing pool semantics, the shared
+ * Sweep-engine tests: thread-pool semantics and balancing, the shared
  * model-graph and inference-engine caches and the platform table, and
  * the determinism contract — the golden suite and a fuzz batch must be
  * byte-identical at --jobs 1 and --jobs 8.
@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <iterator>
 #include <memory>
@@ -78,6 +79,59 @@ TEST(SweepRunner, MoreJobsThanWorkIsFine)
     const auto out =
         runner.map<int>(3, [](std::size_t i) { return static_cast<int>(i); });
     EXPECT_EQ(out, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(SweepRunner, IdleWorkerDrainsTheQueue)
+{
+    // Index 0 holds its worker until every other index has run, so the
+    // other worker must take all 63. A static split of the indices
+    // between the two workers would strand some of them behind index 0
+    // until the wait gives up.
+    sweep::SweepRunner runner(2);
+    std::atomic<int> others{0};
+    int seen = -1;
+    runner.forEach(64, [&](std::size_t i) {
+        if (i != 0) {
+            ++others;
+            return;
+        }
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (others.load() < 63 &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        seen = others.load();
+    });
+    EXPECT_EQ(seen, 63);
+}
+
+TEST(SweepRunner, JobsFlagMustBeAWholeNumber)
+{
+    char prog[] = "harness";
+    char flag[] = "--jobs";
+    char three[] = "3";
+    char other[] = "--other";
+    char *argv[] = {prog, flag, three, other, nullptr};
+    int argc = 4;
+    EXPECT_EQ(sweep::consumeJobsFlag(argc, argv), 3);
+    ASSERT_EQ(argc, 2);
+    EXPECT_STREQ(argv[1], "--other");
+    EXPECT_EQ(argv[2], nullptr);
+
+    // A malformed or missing value is a usage error (exit 2), not the
+    // prefix std::atoi would read ("2x" -> 2) or all cores ("abc").
+    for (const char *bad : {"2x", "abc", ""}) {
+        std::string value = bad;
+        char *args[] = {prog, flag, value.data(), nullptr};
+        int n = 3;
+        EXPECT_EXIT(sweep::consumeJobsFlag(n, args),
+                    testing::ExitedWithCode(2), "--jobs")
+            << bad;
+    }
+    char *missing[] = {prog, flag, nullptr};
+    int n = 2;
+    EXPECT_EXIT(sweep::consumeJobsFlag(n, missing),
+                testing::ExitedWithCode(2), "--jobs");
 }
 
 TEST(SweepRunner, EffectiveJobsResolution)

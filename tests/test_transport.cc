@@ -7,11 +7,10 @@
  * determinism contract:
  *
  *  1. Byte-identity across transports: the same campaign run over
- *     fork/exec pipes and over loopback TCP (against both standalone
- *     `sweep-serve --listen` workers and the multi-campaign
- *     `aitax_cli serve` daemon) produces a byte-identical
- *     deterministic report, including the 256-scenario differential
- *     the issue names.
+ *     fork/exec pipes and over loopback TCP against the multi-campaign
+ *     `aitax_cli serve` daemon produces a byte-identical deterministic
+ *     report, including a 256-scenario differential. Every worker
+ *     binds its corpus from the campaign spec alone.
  *
  *  2. Manifest crash-consistency: records are fsync'd one line at a
  *     time, so a kill can tear at most the final line. Resuming from
@@ -28,6 +27,9 @@
  *
  * The TCP frame codec both ends share (sweep/protocol.h) is checked
  * directly: split delivery, empty frames and the payload cap.
+ *
+ * Every temp file carries this process's pid (tempPath), so two test
+ * processes running at once never share a manifest or port file.
  */
 
 #include <gtest/gtest.h>
@@ -37,6 +39,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -66,6 +69,25 @@ readFile(const std::string &path)
                        std::istreambuf_iterator<char>());
 }
 
+/** A per-process temp file name: concurrent runs never collide. */
+std::string
+tempPath(const std::string &name)
+{
+    return testing::TempDir() + "aitax_" + std::to_string(getpid()) +
+           "_" + name;
+}
+
+/** A temp file or dir, removed with its contents when it goes away. */
+struct RemovedOnExit
+{
+    std::string path;
+    ~RemovedOnExit()
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(path, ec);
+    }
+};
+
 void
 writeFile(const std::string &path, const std::string &data)
 {
@@ -74,7 +96,7 @@ writeFile(const std::string &path, const std::string &data)
     ASSERT_TRUE(out.good()) << path;
 }
 
-/** Small campaign over the real aitax_cli sweep-serve worker. */
+/** Small campaign over the real aitax_cli sweep-serve pipe worker. */
 sweep::CampaignConfig
 pipeConfig(int scenarios, int chunk, int shards, int jobs,
            std::uint64_t seed)
@@ -88,11 +110,7 @@ pipeConfig(int scenarios, int chunk, int shards, int jobs,
                    " chunk=" + std::to_string(chunk) +
                    " faults=0 engine=fast";
     cfg.corpusSpec = cfg.identity;
-    cfg.workerCmd = {AITAX_CLI_PATH,
-                     "sweep-serve",
-                     "--seed",
-                     std::to_string(seed),
-                     "--jobs",
+    cfg.workerCmd = {AITAX_CLI_PATH, "sweep-serve", "--jobs",
                      std::to_string(jobs)};
     return cfg;
 }
@@ -117,7 +135,7 @@ mustRun(const sweep::CampaignConfig &cfg,
 }
 
 // ---------------------------------------------------------------
-// Child-process helpers for TCP workers and the serve daemon.
+// Child-process helpers for the serve daemon.
 // ---------------------------------------------------------------
 
 /** fork/exec aitax_cli with the given argv tail; returns the pid. */
@@ -180,54 +198,21 @@ struct ChildGuard
 // 1. Transports: pipe vs TCP byte-identity, spec addressing.
 // ---------------------------------------------------------------
 
-TEST(Transport, TcpWorkersResolveCorpusFromSpec)
-{
-    auto pipe_cfg = pipeConfig(24, 4, 2, 1, 77);
-    const std::string base = mustRun(pipe_cfg);
-    ASSERT_FALSE(base.empty());
-
-    // Standalone TCP workers whose argv seed DISAGREES with the
-    // campaign: only the spec handshake can make the bytes match, so
-    // a match proves worker-side corpus addressing is load-bearing.
-    std::vector<std::string> endpoints;
-    ChildGuard g[2];
-    for (int i = 0; i < 2; ++i) {
-        const std::string portFile = testing::TempDir() +
-                                     "aitax_tcp_worker_" +
-                                     std::to_string(i) + ".port";
-        std::remove(portFile.c_str());
-        g[i].pid = spawnCli({"sweep-serve", "--seed", "123456",
-                             "--jobs", "1", "--listen", "0",
-                             "--accept", "1", "--port-file",
-                             portFile});
-        const int port = awaitPort(portFile);
-        ASSERT_GT(port, 0) << "worker " << i << " never bound";
-        endpoints.push_back("127.0.0.1:" + std::to_string(port));
-        std::remove(portFile.c_str());
-    }
-
-    auto tcp_cfg = pipe_cfg;
-    tcp_cfg.workerCmd.clear();
-    tcp_cfg.workers = endpoints;
-    tcp_cfg.workerDeadlineSeconds = 30.0;
-    sweep::CampaignSummary sum;
-    EXPECT_EQ(mustRun(tcp_cfg, &sum), base);
-    EXPECT_EQ(sum.transport, "tcp");
-    for (auto &c : g) {
-        reapChild(c.pid, /*expectClean=*/true);
-        c.disarm();
-    }
-}
-
 TEST(Transport, TcpRequiresCorpusSpec)
 {
+    // The spec is every worker's only corpus binding, so a campaign
+    // without one is refused before any worker starts, on pipes and
+    // on TCP alike.
     auto cfg = pipeConfig(8, 4, 1, 1, 77);
-    cfg.workers = {"127.0.0.1:1"};
     cfg.corpusSpec.clear();
-    const auto sum = sweep::runCampaign(cfg);
-    EXPECT_EQ(sum.status, sweep::CampaignStatus::Error);
-    EXPECT_NE(sum.error.find("corpus spec"), std::string::npos)
-        << sum.error;
+    for (const bool tcp : {false, true}) {
+        if (tcp)
+            cfg.workers = {"127.0.0.1:1"};
+        const auto sum = sweep::runCampaign(cfg);
+        EXPECT_EQ(sum.status, sweep::CampaignStatus::Error) << tcp;
+        EXPECT_NE(sum.error.find("corpus spec"), std::string::npos)
+            << sum.error;
+    }
 }
 
 TEST(Transport, WorkerRejectsForeignSpec)
@@ -237,6 +222,17 @@ TEST(Transport, WorkerRejectsForeignSpec)
     const auto sum = sweep::runCampaign(cfg);
     EXPECT_EQ(sum.status, sweep::CampaignStatus::Error);
     EXPECT_NE(sum.error.find("rejected campaign spec"),
+              std::string::npos)
+        << sum.error;
+}
+
+TEST(Transport, WorkerRejectsUnknownEngine)
+{
+    auto cfg = pipeConfig(8, 4, 1, 1, 77);
+    cfg.corpusSpec = "corpus=fuzz seed=77 engine=warp";
+    const auto sum = sweep::runCampaign(cfg);
+    EXPECT_EQ(sum.status, sweep::CampaignStatus::Error);
+    EXPECT_NE(sum.error.find("spec-err unknown engine \"warp\""),
               std::string::npos)
         << sum.error;
 }
@@ -255,8 +251,7 @@ TEST(Transport, WorkerRejectsMalformedSpecNumber)
 
 TEST(Transport, DaemonServesConcurrentCampaignsInIsolation)
 {
-    const std::string portFile =
-        testing::TempDir() + "aitax_daemon.port";
+    const std::string portFile = tempPath("daemon.port");
     std::remove(portFile.c_str());
     ChildGuard daemon;
     // Two campaigns x two sessions each = exactly 4 accepts.
@@ -305,8 +300,7 @@ TEST(Transport, PipeVsTcp256ScenarioDifferential)
     const std::string pipe_report = mustRun(pipe_cfg);
     ASSERT_FALSE(pipe_report.empty());
 
-    const std::string portFile =
-        testing::TempDir() + "aitax_diff_daemon.port";
+    const std::string portFile = tempPath("diff_daemon.port");
     std::remove(portFile.c_str());
     ChildGuard daemon;
     daemon.pid = spawnCli({"serve", "--listen", "0", "--jobs", "2",
@@ -342,8 +336,7 @@ TEST(ManifestCrash, KillAtEveryByteOffsetResumesByteExactly)
     // Small corpus so sweeping every single truncation offset stays
     // fast; the parse paths exercised do not depend on corpus size.
     auto cfg = pipeConfig(8, 2, 1, 1, 77);
-    const std::string manifest =
-        testing::TempDir() + "aitax_torn_manifest.txt";
+    const std::string manifest = tempPath("torn_manifest.txt");
     std::remove(manifest.c_str());
     cfg.checkpointPath = manifest;
     const std::string base = mustRun(cfg);
@@ -385,8 +378,7 @@ TEST(ManifestCrash, KillAtEveryByteOffsetResumesByteExactly)
 TEST(ManifestCrash, TerminatedMalformedLineHardFails)
 {
     auto cfg = pipeConfig(8, 2, 1, 1, 77);
-    const std::string manifest =
-        testing::TempDir() + "aitax_malformed_manifest.txt";
+    const std::string manifest = tempPath("malformed_manifest.txt");
     std::remove(manifest.c_str());
     cfg.checkpointPath = manifest;
     ASSERT_FALSE(mustRun(cfg).empty());
@@ -417,18 +409,16 @@ TEST(ManifestCrash, TerminatedMalformedLineHardFails)
 
 /**
  * A worker stub that misbehaves once, then (on respawn) execs the
- * real worker. The flag file records that the first life happened.
+ * real worker. The @p flag file records that the first life happened.
  */
 sweep::CampaignConfig
-stubConfig(const std::string &misbehaveScript, const std::string &tag)
+stubConfig(const std::string &misbehaveScript, const std::string &flag)
 {
     auto cfg = pipeConfig(8, 2, 1, 1, 77);
-    const std::string flag =
-        testing::TempDir() + "aitax_stub_" + tag + ".flag";
     std::remove(flag.c_str());
     const std::string script =
         "if [ -e " + flag + " ]; then exec " + AITAX_CLI_PATH +
-        " sweep-serve --seed 77 --jobs 1; fi; touch " + flag + "; " +
+        " sweep-serve --jobs 1; fi; touch " + flag + "; " +
         misbehaveScript;
     cfg.workerCmd = {"/bin/sh", "-c", script};
     return cfg;
@@ -444,11 +434,12 @@ TEST(WorkerLoss, PartialResultLineIsDiscardedWithItsChunk)
     // bytes sit in the coordinator's buffer at EOF and must be
     // discarded with the reclaimed chunk — any survival corrupts the
     // resumed bytes and fails the comparison below.
+    const RemovedOnExit flag{tempPath("stub_partial.flag")};
     auto cfg = stubConfig("printf 'aitax-sweep-worker-v2 ready\\n'; "
                           "read line; printf 'spec-ok\\n'; read line; "
                           "printf 'r 0 999.5 42\\nr 1 123.'; "
                           "exit 1",
-                          "partial");
+                          flag.path);
     sweep::CampaignSummary sum;
     EXPECT_EQ(mustRun(cfg, &sum), base);
     EXPECT_GE(sum.workersLost, 1);
@@ -463,10 +454,11 @@ TEST(WorkerLoss, HungWorkerIsKilledByDeadline)
     // First life: identify, accept the spec, take a range, then hang
     // without closing the pipe. Only the liveness deadline can recover
     // this.
+    const RemovedOnExit flag{tempPath("stub_hung.flag")};
     auto cfg = stubConfig("printf 'aitax-sweep-worker-v2 ready\\n'; "
                           "read line; printf 'spec-ok\\n'; read line; "
                           "exec sleep 300",
-                          "hung");
+                          flag.path);
     cfg.workerDeadlineSeconds = 0.5;
     sweep::CampaignSummary sum;
     EXPECT_EQ(mustRun(cfg, &sum), base);
@@ -506,10 +498,10 @@ TEST(WorkerLoss, SigpipeDispositionRestoredOnEveryExitPath)
     EXPECT_EQ(currentHandler(), countPipeSignal) << "after bad config";
 
     // Mid-campaign fail path: worker binary that cannot exec, so the
-    // campaign dies after respawn exhaustion.
+    // campaign dies after respawn exhaustion. The spec stays set, so
+    // the config is valid and the failure comes from the exec.
     auto noexec = pipeConfig(8, 2, 1, 1, 77);
     noexec.workerCmd = {"/nonexistent/aitax-worker"};
-    noexec.corpusSpec.clear();
     EXPECT_EQ(sweep::runCampaign(noexec).status,
               sweep::CampaignStatus::Error);
     EXPECT_EQ(currentHandler(), countPipeSignal) << "after exec fail";
@@ -523,8 +515,9 @@ TEST(WorkerLoss, SigpipeDispositionRestoredOnEveryExitPath)
 
 /**
  * Activate a comma-decimal locale, compiling one with localedef into
- * a temp dir if the system has none installed. Returns false when no
- * comma-decimal locale can be produced (test then skips).
+ * a per-process temp dir if the system has none installed. Returns
+ * false when no comma-decimal locale can be produced (test then
+ * skips).
  */
 bool
 activateCommaLocale()
@@ -534,7 +527,8 @@ activateCommaLocale()
              {"de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8"})
             if (std::setlocale(LC_ALL, name) != nullptr)
                 return std::string(name);
-        const std::string dir = testing::TempDir() + "aitax_locales";
+        static const RemovedOnExit locales{tempPath("locales")};
+        const std::string &dir = locales.path;
         ::mkdir(dir.c_str(), 0755);
         const std::string cmd = "localedef -i de_DE -f UTF-8 " + dir +
                                 "/de_DE.UTF-8 >/dev/null 2>&1";

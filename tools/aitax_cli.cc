@@ -74,14 +74,11 @@
  *     --worker-deadline <s>  kill + re-dispatch a worker with no
  *                            protocol activity for s seconds
  *
- *   aitax_cli sweep-serve [--seed N] [--jobs N] [--faults]
- *             [--engine fast|reference] [--exit-after N]
- *             [--listen PORT] [--bind ADDR] [--accept N]
- *             [--port-file FILE]
- *                                     worker: serve scenario ranges
- *                                     over stdin/stdout, or (--listen)
- *                                     over TCP, sessions served
- *                                     sequentially in-process
+ *   aitax_cli sweep-serve [--jobs N] [--exit-after N]
+ *                                     pipe worker: serve scenario
+ *                                     ranges over stdin/stdout; the
+ *                                     corpus comes from the
+ *                                     coordinator's spec line
  *
  *   aitax_cli serve [--listen PORT] [--bind ADDR] [--jobs N]
  *             [--accept N] [--port-file FILE]
@@ -343,12 +340,7 @@ verifyMain(int argc, char **argv)
         else if (arg == "--stats")
             stats = true;
         else if (arg == "--engine") {
-            const std::string which = flag.next();
-            if (which == "fast")
-                engine = sim::EngineMode::Fast;
-            else if (which == "reference")
-                engine = sim::EngineMode::Reference;
-            else
+            if (!sim::parseEngineMode(flag.next(), engine))
                 verifyUsage();
         } else
             verifyUsage();
@@ -390,10 +382,8 @@ campaignUsage()
                  "[--resume] [--out FILE] [--stats] [--gate EPS] "
                  "[--stop-after-chunks N] [--kill-worker-after N] "
                  "[--workers host:port,...] [--worker-deadline SEC]\n"
-                 "       aitax_cli sweep-serve [--seed N] [--jobs N] "
-                 "[--faults] [--engine fast|reference] [--exit-after N] "
-                 "[--listen PORT] [--bind ADDR] [--accept N] "
-                 "[--port-file FILE]\n"
+                 "       aitax_cli sweep-serve [--jobs N] "
+                 "[--exit-after N]\n"
                  "       aitax_cli serve [--listen PORT] [--bind ADDR] "
                  "[--jobs N] [--accept N] [--port-file FILE]\n");
     std::exit(2);
@@ -418,10 +408,10 @@ fuzzScenarioFn(std::uint64_t master_seed, bool faults,
 
 /**
  * Worker-side corpus addressing: resolve a campaign spec (the identity
- * line, "corpus=fuzz seed=S ... faults=F engine=E") into the same
- * ScenarioFn a local argv-configured worker would build. Keys other
- * than corpus/seed/faults/engine (scenarios, chunk, ...) shape the
- * coordinator's dispatch, not the per-index function, and are ignored.
+ * line, "corpus=fuzz seed=S ... faults=F engine=E") into the campaign's
+ * ScenarioFn. Keys other than corpus/seed/faults/engine (scenarios,
+ * chunk, ...) shape the coordinator's dispatch, not the per-index
+ * function, and are ignored.
  */
 sweep::SpecResolver
 fuzzSpecResolver()
@@ -440,15 +430,10 @@ fuzzSpecResolver()
                 return {};
             else if (key == "faults")
                 faults = val != "0";
-            else if (key == "engine") {
-                if (val == "fast")
-                    engine = sim::EngineMode::Fast;
-                else if (val == "reference")
-                    engine = sim::EngineMode::Reference;
-                else {
-                    *error = "unknown engine \"" + val + "\"";
-                    return {};
-                }
+            else if (key == "engine" &&
+                     !sim::parseEngineMode(val, engine)) {
+                *error = "unknown engine \"" + val + "\"";
+                return {};
             }
         }
         if (corpus != "fuzz") {
@@ -460,59 +445,25 @@ fuzzSpecResolver()
     };
 }
 
-/** Worker mode: serve scenario ranges over stdin/stdout or TCP. */
+/** Pipe worker mode: serve scenario ranges over stdin/stdout. */
 int
 sweepServeMain(int argc, char **argv)
 {
-    std::uint64_t master_seed = 2021;
-    bool faults = false;
-    sim::EngineMode engine = sim::EngineMode::Fast;
     sweep::WorkerOptions opts;
-    int listen_port = -1;
-    std::string bind_addr = "127.0.0.1";
-    int accept_limit = -1;
-    std::string port_file;
 
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         FlagValues flag{argc, argv, i, campaignUsage};
-        if (arg == "--seed")
-            flag.number(master_seed);
-        else if (arg == "--jobs")
+        if (arg == "--jobs")
             flag.number(opts.jobs);
-        else if (arg == "--faults")
-            faults = true;
         else if (arg == "--exit-after")
             flag.number(opts.exitAfterRanges);
-        else if (arg == "--listen")
-            flag.number(listen_port);
-        else if (arg == "--bind")
-            bind_addr = flag.next();
-        else if (arg == "--accept")
-            flag.number(accept_limit);
-        else if (arg == "--port-file")
-            port_file = flag.next();
-        else if (arg == "--engine") {
-            const std::string which = flag.next();
-            if (which == "fast")
-                engine = sim::EngineMode::Fast;
-            else if (which == "reference")
-                engine = sim::EngineMode::Reference;
-            else
-                campaignUsage();
-        } else
+        else
             campaignUsage();
     }
     if (opts.jobs <= 0)
         opts.jobs = 1;
-    if (listen_port >= 0)
-        return sweep::serveTcpWorker(
-            bind_addr, listen_port, opts,
-            fuzzScenarioFn(master_seed, faults, engine),
-            fuzzSpecResolver(), accept_limit, port_file);
-    return sweep::runWorker(opts,
-                            fuzzScenarioFn(master_seed, faults, engine),
-                            fuzzSpecResolver());
+    return sweep::runWorker(opts, {}, fuzzSpecResolver());
 }
 
 /** Fleet worker daemon: `aitax_cli serve`. */
@@ -553,7 +504,7 @@ campaignMain(int argc, char **argv)
     std::uint64_t master_seed = 2021;
     int jobs = 1;
     bool faults = false;
-    std::string engine = "fast";
+    sim::EngineMode engine = sim::EngineMode::Fast;
     std::string out_path;
     bool stats = false;
     double gate_eps = -1.0;
@@ -574,8 +525,7 @@ campaignMain(int argc, char **argv)
         else if (arg == "--faults")
             faults = true;
         else if (arg == "--engine") {
-            engine = flag.next();
-            if (engine != "fast" && engine != "reference")
+            if (!sim::parseEngineMode(flag.next(), engine))
                 campaignUsage();
         } else if (arg == "--checkpoint")
             cfg.checkpointPath = flag.next();
@@ -618,18 +568,10 @@ campaignMain(int argc, char **argv)
                    " scenarios=" + std::to_string(cfg.scenarios) +
                    " chunk=" + std::to_string(cfg.chunk) +
                    " faults=" + (faults ? "1" : "0") +
-                   " engine=" + engine;
+                   " engine=" + sim::engineModeName(engine);
     cfg.corpusSpec = cfg.identity;
-    cfg.workerCmd = {sweep::selfExecutablePath(argv[0]),
-                     "sweep-serve",
-                     "--seed",
-                     std::to_string(master_seed),
-                     "--jobs",
-                     std::to_string(jobs),
-                     "--engine",
-                     engine};
-    if (faults)
-        cfg.workerCmd.push_back("--faults");
+    cfg.workerCmd = {sweep::selfExecutablePath(argv[0]), "sweep-serve",
+                     "--jobs", std::to_string(jobs)};
 
     // runCampaign reads steady_clock for the wall-seconds line on the
     // human progress report only; nothing wall-derived reaches the
