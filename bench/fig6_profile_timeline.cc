@@ -32,7 +32,7 @@ runAndRender(app::FrameworkKind fw, const char *title,
         // up on it: the brief CDSP utilization spike at the start of
         // the measured profile (annotation in the paper's Fig 6).
         soc::AccelJob probe;
-        probe.name = "nnapi_driver_probe";
+        probe.label = sys.tracer().internLabel("nnapi_driver_probe");
         probe.ops = 2.0e8;
         probe.bytes = 2.0e6;
         probe.format = tensor::DType::UInt8;

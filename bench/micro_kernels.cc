@@ -443,6 +443,74 @@ BM_ScenarioConstruct(benchmark::State &state)
 }
 BENCHMARK(BM_ScenarioConstruct);
 
+/**
+ * Warm frames on one SocSystem: build each frame's task program and
+ * run it, offloads included, after a single model init. Arg 0 is the
+ * TFLite GPU delegate (fp32), 1 the Hexagon delegate (uint8, through
+ * FastRPC), 2 the 4-thread CPU pool (fp32) beside one DSP and one CPU
+ * background loop, all in CLI-benchmark mode. The loops live for one
+ * iteration. items/sec is frames/sec.
+ */
+void
+BM_FrameProgram(benchmark::State &state)
+{
+    constexpr int kFramesPerIteration = 10;
+    app::PipelineConfig cfg;
+    cfg.model = models::findModel("mobilenet_v1");
+    cfg.mode = app::HarnessMode::CliBenchmark;
+    int loop_kinds = 0;
+    switch (state.range(0)) {
+      case 0:
+        cfg.framework = app::FrameworkKind::TfliteGpu;
+        cfg.dtype = tensor::DType::Float32;
+        break;
+      case 1:
+        cfg.framework = app::FrameworkKind::TfliteHexagon;
+        cfg.dtype = tensor::DType::UInt8;
+        break;
+      default:
+        cfg.framework = app::FrameworkKind::TfliteCpu;
+        cfg.dtype = tensor::DType::Float32;
+        cfg.threads = 4;
+        loop_kinds = 2;
+        break;
+    }
+    state.SetLabel(std::string(app::frameworkName(cfg.framework)));
+    soc::SocSystem sys(soc::makeSnapdragon845(), 7);
+    app::Application application(sys, cfg);
+    core::TaxReport warmup_report;
+    application.scheduleWarmup(kFramesPerIteration, warmup_report);
+    sys.simulator().runUntilCondition(
+        [&application] { return application.warmupComplete(); });
+
+    std::vector<std::unique_ptr<app::BackgroundInferenceLoop>> loops;
+    for (auto _ : state) {
+        loops.clear();
+        for (int i = 0; i < loop_kinds; ++i) {
+            app::BackgroundLoadConfig bg;
+            bg.model = cfg.model;
+            bg.framework = i == 0 ? app::FrameworkKind::TfliteHexagon
+                                  : app::FrameworkKind::TfliteCpu;
+            bg.processId = 100 * (i + 1);
+            loops.push_back(
+                std::make_unique<app::BackgroundInferenceLoop>(sys, bg));
+            loops.back()->start(sys.simulator().now() + sim::secToNs(60.0));
+        }
+        // A bounded trace: keep the interned names, drop the records.
+        sys.tracer().clear();
+        core::TaxReport report;
+        application.scheduleFramesAfterWarmup(
+            kFramesPerIteration, report, [&loops](sim::TimeNs) {
+                for (auto &loop : loops)
+                    loop->stop();
+            });
+        sys.run();
+        benchmark::DoNotOptimize(report.endToEndMeanMs());
+    }
+    state.SetItemsProcessed(state.iterations() * kFramesPerIteration);
+}
+BENCHMARK(BM_FrameProgram)->Arg(0)->Arg(1)->Arg(2);
+
 void
 BM_GraphBuildUncached(benchmark::State &state)
 {

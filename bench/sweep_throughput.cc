@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "stats/numfmt.h"
 #include "sweep/campaign.h"
 
 namespace {
@@ -229,6 +230,19 @@ benchSpecResolver()
  * re-execs this binary with --serve, and the spec handshake resolves
  * the exact corpus the coordinator is sharding from its identity line.
  */
+/** The whole number @p text, or a usage error (exit 2) naming @p flag. */
+int
+wholeFlag(const std::string &flag, const char *text)
+{
+    int value = 0;
+    if (!stats::parseWhole(text, value)) {
+        std::fprintf(stderr, "sweep_throughput: %s needs a whole number\n",
+                     flag.c_str());
+        std::exit(2);
+    }
+    return value;
+}
+
 int
 serveMain(int argc, char **argv)
 {
@@ -242,9 +256,9 @@ serveMain(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--jobs")
-            opts.jobs = std::atoi(next());
+            opts.jobs = wholeFlag(arg, next());
         else if (arg == "--exit-after")
-            opts.exitAfterRanges = std::atoi(next());
+            opts.exitAfterRanges = wholeFlag(arg, next());
         else
             std::exit(2);
     }
@@ -290,11 +304,11 @@ main(int argc, char **argv)
             scenarios = 256;
             runs = 30;
         } else if (arg == "--scenarios") {
-            scenarios = std::atoi(next());
+            scenarios = wholeFlag(arg, next());
         } else if (arg == "--runs") {
-            runs = std::atoi(next());
+            runs = wholeFlag(arg, next());
         } else if (arg == "--jobs") {
-            jobs = std::atoi(next());
+            jobs = wholeFlag(arg, next());
         } else if (arg == "--out") {
             out_path = next();
         } else if (arg == "--gate") {

@@ -9,7 +9,9 @@ namespace aitax::app {
 BackgroundInferenceLoop::BackgroundInferenceLoop(soc::SocSystem &sys,
                                                  BackgroundLoadConfig cfg_in)
     : sys(sys), cfg(std::move(cfg_in)),
-      engine(cachedEngine(*cfg.model, cfg.dtype, cfg.framework, cfg.threads))
+      engine(cachedEngine(*cfg.model, cfg.dtype, cfg.framework, cfg.threads)),
+      taskName_("bg_" + cfg.model->id + "_p" + std::to_string(cfg.processId)),
+      invoke_("bg_infer_p" + std::to_string(cfg.processId), cfg.processId)
 {
     assert(cfg.model != nullptr);
 }
@@ -27,17 +29,15 @@ BackgroundInferenceLoop::next()
     if (stopped || sys.simulator().now() >= horizon_)
         return;
 
-    auto task = soc::makeTask(
-        sys.arena(),
-        "bg_" + cfg.model->id + "_p" + std::to_string(cfg.processId),
-        /*background=*/true);
+    auto task = soc::makeTask(sys.arena(), taskName_.name(),
+                              /*background=*/true);
+    task->setTraceLabel(taskName_.resolve(sys.tracer()));
+    task->reserve(engine.invokeStepCount());
 
     runtime::ExecOptions exec;
-    exec.processId = cfg.processId;
     exec.cpuThreads = cfg.threads;
     exec.background = true;
-    exec.label = "bg_infer_p" + std::to_string(cfg.processId);
-    engine.appendInvoke(sys, *task, exec);
+    engine.appendInvoke(sys, *task, exec, invoke_);
 
     task->setOnComplete([this](sim::TimeNs) {
         ++completed;

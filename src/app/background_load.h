@@ -10,9 +10,10 @@
 #define AITAX_APP_BACKGROUND_LOAD_H
 
 #include <cstdint>
-#include <memory>
+#include <string>
 
 #include "app/engine.h"
+#include "runtime/execute.h"
 #include "soc/system.h"
 
 namespace aitax::app {
@@ -28,7 +29,9 @@ struct BackgroundLoadConfig
 };
 
 /**
- * Runs inferences back-to-back until stopped.
+ * Runs inferences back-to-back until stopped. Its task name and its
+ * invocation names are built once, at construction, and interned on
+ * first use, so a steady-state inference formats no string.
  */
 class BackgroundInferenceLoop
 {
@@ -49,6 +52,10 @@ class BackgroundInferenceLoop
     BackgroundLoadConfig cfg;
     /** Shared process-wide instance (cachedEngine()). */
     const InferenceEngine &engine;
+    /** "bg_<model>_p<pid>": every inference task's name. */
+    trace::LazyLabel taskName_;
+    /** Label "bg_infer_p<pid>" for workers and jobs. */
+    runtime::InvokeContext invoke_;
     bool stopped = false;
     sim::TimeNs horizon_ = 0;
     std::int64_t completed = 0;

@@ -73,13 +73,20 @@ InferenceEngine::initNs() const
 
 void
 InferenceEngine::appendInvoke(soc::SocSystem &sys, soc::Task &task,
-                              runtime::ExecOptions opts) const
+                              const runtime::ExecOptions &opts,
+                              runtime::InvokeContext &ctx) const
 {
     if (snpe_) {
-        snpe_->appendInvoke(sys, task, std::move(opts));
+        snpe_->appendInvoke(sys, task, opts, ctx);
         return;
     }
-    tflite_->appendInvoke(sys, task, std::move(opts));
+    tflite_->appendInvoke(sys, task, opts, ctx);
+}
+
+std::size_t
+InferenceEngine::invokeStepCount() const
+{
+    return runtime::planStepCount(plan());
 }
 
 const InferenceEngine &

@@ -8,6 +8,7 @@
 #ifndef AITAX_APP_ENGINE_H
 #define AITAX_APP_ENGINE_H
 
+#include <cstddef>
 #include <memory>
 #include <string_view>
 
@@ -47,7 +48,11 @@ class InferenceEngine
 
     /** Append one inference invocation to @p task. */
     void appendInvoke(soc::SocSystem &sys, soc::Task &task,
-                      runtime::ExecOptions opts) const;
+                      const runtime::ExecOptions &opts,
+                      runtime::InvokeContext &ctx) const;
+
+    /** Steps that appendInvoke() appends (runtime::planStepCount). */
+    std::size_t invokeStepCount() const;
 
   private:
     FrameworkKind kind_;

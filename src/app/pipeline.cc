@@ -40,7 +40,9 @@ Application::Application(soc::SocSystem &sys, PipelineConfig cfg_in)
       engine_(cachedEngine(*cfg.model, cfg.dtype, cfg.framework,
                            cfg.threads)),
       camera_(cfg.camera), randomSource(cfg.stdlib),
-      rng(sys.rng().fork("app:" + cfg.model->id))
+      rng(sys.rng().fork("app:" + cfg.model->id)),
+      invoke_(cfg.model->id + "_infer", cfg.processId, &rpcLog_,
+              &frameDegradedNs_)
 {
     assert(cfg.model != nullptr);
     instr.enable(cfg.instrumentationEnabled);
@@ -60,10 +62,87 @@ Application::Application(soc::SocSystem &sys, PipelineConfig cfg_in)
         }
     }
     pipelineTaskName_ = cfg.model->id + "_pipeline";
-    inferLabel_ = cfg.model->id + "_infer";
+    initTaskName_ = cfg.model->id + "_init";
     fastcvJobName_ = cfg.model->id + "_fastcv_pre";
     pipelineLabel_ = sys.tracer().internLabel(pipelineTaskName_);
     fastcvLabel_ = sys.tracer().internLabel(fastcvJobName_);
+
+    if (prof.fullPipeline &&
+        cfg.model->task != models::Task::LanguageProcessing) {
+        preItems_ = preProcessingItems();
+        for (const auto &w : preItems_)
+            preTotal_ += w;
+    }
+    frameSteps_ = computeFrameSteps();
+    if (!sys.dsp().config().tightlyCoupled) {
+        for (const auto &part : engine_.plan().partitions)
+            rpcCallsPerFrame_ +=
+                part.driver->target() == drivers::Target::Dsp ? 1 : 0;
+    }
+}
+
+std::vector<sim::Work>
+Application::preProcessingItems() const
+{
+    const std::int32_t mw = cfg.model->inputW;
+    const std::int32_t mh = cfg.model->inputH;
+    const std::int32_t cw = cfg.camera.width;
+    const std::int32_t ch = cfg.camera.height;
+
+    // Bitmap formatting always precedes the Table I tasks in apps,
+    // and type conversion into the input tensor closes the stage.
+    std::vector<sim::Work> items;
+    items.reserve(cfg.model->preTasks.size() + 2);
+    items.push_back(imaging::nv21ToArgbCost(cw, ch));
+    for (PreTask pre : cfg.model->preTasks) {
+        switch (pre) {
+          case PreTask::BitmapFormat:
+            items.push_back(imaging::nv21ToArgbCost(cw, ch));
+            break;
+          case PreTask::Scale:
+            items.push_back(imaging::resizeBilinearCost(mw, mh));
+            break;
+          case PreTask::Crop:
+            items.push_back(imaging::centerCropCost(mw, mh));
+            break;
+          case PreTask::Normalize:
+            items.push_back(imaging::normalizeCost(mw, mh));
+            break;
+          case PreTask::Rotate:
+            // Rotation applies at capture resolution — the quadratic
+            // scaling trap the paper points out for PoseNet.
+            items.push_back(imaging::rotateCost(cw, ch));
+            break;
+          case PreTask::TypeConvert:
+            items.push_back(imaging::typeConvertCost(
+                mw, mh, tensor::isQuantized(cfg.dtype)));
+            break;
+          case PreTask::Tokenize:
+            items.push_back(postproc::WordpieceTokenizer::tokenizeCost(
+                kBertInputChars));
+            break;
+        }
+    }
+    items.push_back(imaging::typeConvertCost(
+        mw, mh, tensor::isQuantized(cfg.dtype)));
+    return items;
+}
+
+std::size_t
+Application::computeFrameSteps() const
+{
+    // Five stage markers around the four stages, each stage's steps
+    // counted as its append function builds them.
+    const std::size_t capture = prof.usesCamera ? 2 : 1;
+    const std::size_t pre = (preItems_.empty() || cfg.preprocessOnDsp)
+                                ? 1
+                                : preItems_.size();
+    std::size_t post = 0;
+    if (cfg.mode != HarnessMode::CliBenchmark) {
+        for (PostTask task : cfg.model->postTasks)
+            post += postTaskRuns(task) ? 1 : 0;
+    }
+    return 5 + capture + pre + engine_.invokeStepCount() + post;
 }
 
 std::int64_t
@@ -161,10 +240,6 @@ Application::appendPreProcessing(Task &task, double noise)
     }
 
     const double factor = prof.managedRuntimeFactor * noise;
-    const std::int32_t mw = cfg.model->inputW;
-    const std::int32_t mh = cfg.model->inputH;
-    const std::int32_t cw = cfg.camera.width;
-    const std::int32_t ch = cfg.camera.height;
 
     if (cfg.model->task == models::Task::LanguageProcessing) {
         task.compute(postproc::WordpieceTokenizer::tokenizeCost(
@@ -174,110 +249,71 @@ Application::appendPreProcessing(Task &task, double noise)
         return;
     }
 
-    // Bitmap formatting always precedes the Table I tasks in apps,
-    // and type conversion into the input tensor closes the stage.
-    std::vector<sim::Work> items;
-    items.push_back(imaging::nv21ToArgbCost(cw, ch));
-    for (PreTask pre : cfg.model->preTasks) {
-        switch (pre) {
-          case PreTask::BitmapFormat:
-            items.push_back(imaging::nv21ToArgbCost(cw, ch));
-            break;
-          case PreTask::Scale:
-            items.push_back(imaging::resizeBilinearCost(mw, mh));
-            break;
-          case PreTask::Crop:
-            items.push_back(imaging::centerCropCost(mw, mh));
-            break;
-          case PreTask::Normalize:
-            items.push_back(imaging::normalizeCost(mw, mh));
-            break;
-          case PreTask::Rotate:
-            // Rotation applies at capture resolution — the quadratic
-            // scaling trap the paper points out for PoseNet.
-            items.push_back(imaging::rotateCost(cw, ch));
-            break;
-          case PreTask::TypeConvert:
-            items.push_back(imaging::typeConvertCost(
-                mw, mh, tensor::isQuantized(cfg.dtype)));
-            break;
-          case PreTask::Tokenize:
-            items.push_back(postproc::WordpieceTokenizer::tokenizeCost(
-                kBertInputChars));
-            break;
-        }
-    }
-    items.push_back(imaging::typeConvertCost(
-        mw, mh, tensor::isQuantized(cfg.dtype)));
-
     if (cfg.preprocessOnDsp) {
-        // FastCV-style vision offload: the whole chain runs as one
-        // fused DSP job; the CPU only pays the FastRPC round trip.
-        sim::Work total{};
-        for (const auto &w : items)
-            total += w;
-        soc::AccelJob job;
-        job.name = fastcvJobName_;
-        job.label = fastcvLabel_;
-        // Vision kernels vectorize well on HVX but not perfectly.
-        job.ops = total.flops * noise / 0.8;
-        job.bytes = total.bytes;
-        job.format = tensor::DType::UInt8;
-        const std::int32_t pid = cfg.processId;
-        const double payload = camera_.frameBytes();
-        soc::SocSystem *system = &sys;
-        // CPU cost of the same chain if the offload fails for good
-        // (managed-runtime execution, like the non-offloaded path).
-        const double cpu_ops =
-            total.flops * prof.managedRuntimeFactor * noise;
-        const double cpu_bytes = total.bytes;
-        Application *self = this;
-        task.block([system, self, job = std::move(job), pid, payload,
-                    cpu_ops,
-                    cpu_bytes](Task &, soc::BlockResume resume) mutable {
-            system->fastrpc().call(
-                pid, payload, std::move(job),
-                [system, self, cpu_ops, cpu_bytes,
-                 resume](const soc::FastRpcBreakdown &breakdown) {
-                    // Retry overhead of the vision offload is this
-                    // frame's degraded time (not in rpcLog_, which
-                    // holds inference calls only).
-                    self->frameDegradedNs_ += breakdown.retryNs;
-                    if (!breakdown.failed) {
-                        resume();
-                        return;
-                    }
-                    // Permanent failure: run the chain on the CPU.
-                    faults::FaultInjector *faults = system->faults();
-                    const sim::TimeNs began =
-                        system->simulator().now();
-                    if (faults)
-                        faults->recordFallback(faults::ChainLink::Dsp,
-                                               faults::ChainLink::Cpu,
-                                               began);
-                    auto worker = soc::makeTask(
-                        system->arena(),
-                        self->fastcvJobName_ + "_fallback_cpu");
-                    worker->compute({cpu_ops, cpu_bytes},
-                                    WorkClass::Scalar);
-                    worker->setOnComplete(
-                        [system, self, faults, began,
-                         resume](sim::TimeNs end) {
-                            const sim::DurationNs elapsed =
-                                end - began;
-                            if (faults)
-                                faults->recordDegradedExec(elapsed);
-                            self->frameDegradedNs_ += elapsed;
-                            resume();
-                        });
-                    system->scheduler().submit(std::move(worker));
-                });
-        });
+        appendFastcvOffload(task, noise);
         return;
     }
 
-    for (const auto &w : items)
+    for (const auto &w : preItems_)
         task.compute(w * factor, WorkClass::Scalar);
+}
+
+void
+Application::appendFastcvOffload(Task &task, double noise)
+{
+    // FastCV-style vision offload: the whole chain runs as one fused
+    // DSP job; the CPU only pays the FastRPC round trip. The closures
+    // keep the frame's noise and read the rest from the Application.
+    Application *self = this;
+    task.block([self, noise](Task &, soc::BlockResume resume) {
+        soc::AccelJob job;
+        job.label = self->fastcvLabel_;
+        // Vision kernels vectorize well on HVX but not perfectly.
+        job.ops = self->preTotal_.flops * noise / 0.8;
+        job.bytes = self->preTotal_.bytes;
+        job.format = tensor::DType::UInt8;
+        self->sys.fastrpc().call(
+            self->cfg.processId, self->camera_.frameBytes(),
+            std::move(job),
+            [self, noise, resume](const soc::FastRpcBreakdown &breakdown,
+                                  const soc::AccelJob &) {
+                // Retry overhead of the vision offload is this frame's
+                // degraded time (not in rpcLog_, which holds inference
+                // calls only).
+                self->frameDegradedNs_ += breakdown.retryNs;
+                if (!breakdown.failed) {
+                    resume();
+                    return;
+                }
+                // Permanent failure: run the chain on the CPU, at the
+                // managed-runtime cost of the non-offloaded path.
+                soc::SocSystem &system = self->sys;
+                const sim::TimeNs began = system.simulator().now();
+                if (faults::FaultInjector *faults = system.faults())
+                    faults->recordFallback(faults::ChainLink::Dsp,
+                                           faults::ChainLink::Cpu, began);
+                if (self->fastcvFallbackName_.empty())
+                    self->fastcvFallbackName_ =
+                        self->fastcvJobName_ + "_fallback_cpu";
+                auto worker = soc::makeTask(system.arena(),
+                                            self->fastcvFallbackName_);
+                worker->compute({self->preTotal_.flops *
+                                     self->prof.managedRuntimeFactor *
+                                     noise,
+                                 self->preTotal_.bytes},
+                                WorkClass::Scalar);
+                worker->setOnComplete(
+                    [self, began, resume](sim::TimeNs end) {
+                        const sim::DurationNs elapsed = end - began;
+                        if (faults::FaultInjector *faults =
+                                self->sys.faults())
+                            faults->recordDegradedExec(elapsed);
+                        self->frameDegradedNs_ += elapsed;
+                        resume();
+                    });
+                system.scheduler().submit(std::move(worker));
+            });
+    });
 }
 
 void
@@ -299,8 +335,7 @@ Application::appendPostProcessing(Task &task, double noise)
             work = postproc::topKCost(cfg.model->numClasses, cfg.topK);
             break;
           case PostTask::Dequantize:
-            // Table I: performed only with quantized models.
-            if (!tensor::isQuantized(cfg.dtype))
+            if (!postTaskRuns(post))
                 continue;
             work = postproc::dequantizeCost(cfg.model->numClasses);
             break;
@@ -321,6 +356,13 @@ Application::appendPostProcessing(Task &task, double noise)
         }
         task.compute(work * factor, WorkClass::Scalar);
     }
+}
+
+bool
+Application::postTaskRuns(PostTask post) const
+{
+    // Table I: dequantization is performed only with quantized models.
+    return post != PostTask::Dequantize || tensor::isQuantized(cfg.dtype);
 }
 
 void
@@ -351,7 +393,7 @@ Application::scheduleInit(int n, core::TaxReport &report,
     }
 
     // Model/framework initialization runs first, as CPU work.
-    auto init = soc::makeTask(sys.arena(), cfg.model->id + "_init");
+    auto init = soc::makeTask(sys.arena(), initTaskName_);
     init->compute(
         runtime::workForCpuNs(static_cast<double>(engine_.initNs())),
         WorkClass::Scalar);
@@ -360,15 +402,29 @@ Application::scheduleInit(int n, core::TaxReport &report,
 }
 
 void
+Application::beginRuns(int n, core::TaxReport &report,
+                       std::function<void(sim::TimeNs)> on_done)
+{
+    runTotal_ = n;
+    runReport_ = &report;
+    runDone_ = std::move(on_done);
+    // Room for everything the first runs append, so no frame regrows
+    // a vector. Later schedules on this Application grow the logs by
+    // doubling: exact steps per schedule would copy them every time.
+    const auto runs = static_cast<std::size_t>(n);
+    report.reserve(runs, sys.faults() != nullptr);
+    if (rpcLog_.empty())
+        rpcLog_.reserve(runs * rpcCallsPerFrame_);
+    if (frameLog_.empty() && cfg.streamingCapture && prof.usesCamera)
+        frameLog_.reserve(runs);
+}
+
+void
 Application::scheduleRuns(int n, core::TaxReport &report,
                           std::function<void(sim::TimeNs)> on_done)
 {
-    auto done =
-        std::make_shared<std::function<void(sim::TimeNs)>>(
-            std::move(on_done));
-    scheduleInit(n, report, [this, n, &report, done](sim::TimeNs) {
-        startFrame(0, n, &report, done);
-    });
+    beginRuns(n, report, std::move(on_done));
+    scheduleInit(n, report, [this](sim::TimeNs) { startFrame(0); });
 }
 
 void
@@ -387,74 +443,71 @@ Application::scheduleFramesAfterWarmup(
     assert(n > 0);
     assert(warmupComplete_);
     ensureReportLabel(report);
-    auto done =
-        std::make_shared<std::function<void(sim::TimeNs)>>(
-            std::move(on_done));
-    startFrame(0, n, &report, done);
+    beginRuns(n, report, std::move(on_done));
+    startFrame(0);
 }
 
 void
-Application::startFrame(
-    int index, int total, core::TaxReport *report,
-    std::shared_ptr<std::function<void(sim::TimeNs)>> on_done)
+Application::startFrame(int index)
 {
     auto task = soc::makeTask(sys.arena(), pipelineTaskName_);
     task->setTraceLabel(pipelineLabel_);
-    using TimesArray = std::array<sim::TimeNs, 5>;
-    auto times =
-        sys.arena() != nullptr
-            ? std::allocate_shared<TimesArray>(
-                  sim::ArenaAllocator<TimesArray>(sys.arena()))
-            : std::make_shared<TimesArray>();
-    const std::size_t rpc_base = rpcLog_.size();
+    task->reserve(frameSteps_);
+    frameRpcBase_ = rpcLog_.size();
 
     const double noise =
         rng.lognormalFactor(prof.computeNoiseSigma);
 
-    task->marker([times](sim::TimeNs t) { (*times)[0] = t; });
+    // One frame is in flight at a time, so its stage timestamps are
+    // members.
+    auto stamp = [this](std::size_t stage) {
+        return [this, stage](sim::TimeNs t) { frameTimes_[stage] = t; };
+    };
+    task->marker(stamp(0));
     appendCapture(*task, noise);
-    task->marker([times](sim::TimeNs t) { (*times)[1] = t; });
+    task->marker(stamp(1));
     appendPreProcessing(*task, noise);
-    task->marker([times](sim::TimeNs t) { (*times)[2] = t; });
+    task->marker(stamp(2));
 
     runtime::ExecOptions exec;
-    exec.processId = cfg.processId;
     exec.cpuThreads = cfg.threads;
     exec.noiseSigma = prof.computeNoiseSigma;
     exec.instrumentation = &instr;
-    exec.rpcLog = &rpcLog_;
-    exec.degradedNs = &frameDegradedNs_;
-    exec.label = inferLabel_;
-    engine_.appendInvoke(sys, *task, exec);
+    engine_.appendInvoke(sys, *task, exec, invoke_);
 
-    task->marker([times](sim::TimeNs t) { (*times)[3] = t; });
+    task->marker(stamp(3));
     appendPostProcessing(*task, noise);
-    task->marker([times](sim::TimeNs t) { (*times)[4] = t; });
+    task->marker(stamp(4));
+    assert(task->stepCount() == frameSteps_);
 
-    task->setOnComplete([this, index, total, report, on_done, times,
-                         rpc_base](sim::TimeNs end) {
+    task->setOnComplete([this, index](sim::TimeNs end) {
+        const auto &times = frameTimes_;
         StageLatencies lat;
-        lat[Stage::DataCapture] = (*times)[1] - (*times)[0];
-        lat[Stage::PreProcessing] = (*times)[2] - (*times)[1];
-        lat[Stage::Inference] = (*times)[3] - (*times)[2];
-        lat[Stage::PostProcessing] = (*times)[4] - (*times)[3];
-        report->add(lat);
+        lat[Stage::DataCapture] = times[1] - times[0];
+        lat[Stage::PreProcessing] = times[2] - times[1];
+        lat[Stage::Inference] = times[3] - times[2];
+        lat[Stage::PostProcessing] = times[4] - times[3];
+        runReport_->add(lat);
         if (sys.faults() != nullptr) {
             // Degraded-mode attribution for this frame: retry
             // overhead on its FastRPC calls plus any time spent on
             // fallback devices. Included in the stage walls above —
             // this is a column of the tax, not an extra stage.
             sim::DurationNs degraded = frameDegradedNs_;
-            for (std::size_t i = rpc_base; i < rpcLog_.size(); ++i)
+            for (std::size_t i = frameRpcBase_; i < rpcLog_.size(); ++i)
                 degraded += rpcLog_[i].retryNs;
-            report->addDegraded(sim::nsToMs(degraded));
+            runReport_->addDegraded(sim::nsToMs(degraded));
             frameDegradedNs_ = 0;
         }
-        if (index + 1 < total) {
-            startFrame(index + 1, total, report, on_done);
-        } else if (*on_done) {
-            (*on_done)(end);
+        if (index + 1 < runTotal_) {
+            startFrame(index + 1);
+            return;
         }
+        // Taken out first: the callback may schedule the next runs.
+        auto done = std::move(runDone_);
+        runDone_ = nullptr;
+        if (done)
+            done(end);
     });
     sys.scheduler().submit(std::move(task));
 }

@@ -4,13 +4,21 @@
  * pre-processing -> framework/inference -> post-processing, packaged
  * in any of the three harness modes, with per-stage latency
  * accounting into a core::TaxReport.
+ *
+ * A steady-state frame allocates nothing from the heap: its names,
+ * pre-processing costs and step count are computed once per
+ * Application, the per-run schedule and the frame's stage timestamps
+ * are members, and the report and logs are reserved from the run
+ * count when the runs are scheduled.
  */
 
 #ifndef AITAX_APP_PIPELINE_H
 #define AITAX_APP_PIPELINE_H
 
+#include <array>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "app/engine.h"
@@ -19,6 +27,7 @@
 #include "capture/random_source.h"
 #include "core/tax_report.h"
 #include "drivers/instrumentation.h"
+#include "runtime/execute.h"
 #include "soc/system.h"
 
 namespace aitax::app {
@@ -92,7 +101,8 @@ class Application
      * Schedule model init followed by @p n pipeline runs.
      *
      * Stage latencies land in @p report as each run finishes; the
-     * caller drives the simulator (sys.run()).
+     * caller drives the simulator (sys.run()). One schedule is in
+     * flight at a time: schedule again once the runs have finished.
      */
     void scheduleRuns(int n, core::TaxReport &report,
                       std::function<void(sim::TimeNs)> on_done = {});
@@ -152,27 +162,52 @@ class Application
     sim::RandomStream rng;
     /** Per-frame names/labels built once instead of per startFrame. */
     std::string pipelineTaskName_;
-    std::string inferLabel_;
+    std::string initTaskName_;
     std::string fastcvJobName_;
+    std::string fastcvFallbackName_;
     trace::LabelId pipelineLabel_;
     trace::LabelId fastcvLabel_;
+    /** Degraded-mode time accrued by the in-flight frame. */
+    sim::DurationNs frameDegradedNs_ = 0;
+    /** The inference's names and sinks ("<model>_infer"). */
+    runtime::InvokeContext invoke_;
+    /**
+     * Image pre-processing chain (AndroidApp image models), a pure
+     * function of the config, and its sum for the fused DSP offload.
+     */
+    std::vector<sim::Work> preItems_;
+    sim::Work preTotal_{};
+    /** Steps of one frame's program, reserved before it is built. */
+    std::size_t frameSteps_ = 0;
+    /** FastRPC calls per frame (DSP partitions crossing FastRPC). */
+    std::size_t rpcCallsPerFrame_ = 0;
     /** Streaming-capture state: arrival phase and last consumed frame. */
     sim::TimeNs streamPhaseNs = 0;
     std::int64_t lastConsumedFrame = -1;
     std::vector<FrameConsume> frameLog_;
-    /** Degraded-mode time accrued by the in-flight frame. */
-    sim::DurationNs frameDegradedNs_ = 0;
     bool warmupComplete_ = false;
+    /** The scheduled runs: count, report and completion callback. */
+    int runTotal_ = 0;
+    core::TaxReport *runReport_ = nullptr;
+    std::function<void(sim::TimeNs)> runDone_;
+    /** The in-flight frame: its stage timestamps and rpcLog_ base. */
+    std::array<sim::TimeNs, 5> frameTimes_{};
+    std::size_t frameRpcBase_ = 0;
 
     void ensureReportLabel(core::TaxReport &report) const;
+    void beginRuns(int n, core::TaxReport &report,
+                   std::function<void(sim::TimeNs)> on_done);
     void scheduleInit(int n, core::TaxReport &report,
                       soc::TimeFn on_init_done);
-    void startFrame(int index, int total, core::TaxReport *report,
-                    std::shared_ptr<std::function<void(sim::TimeNs)>>
-                        on_done);
+    void startFrame(int index);
     void appendCapture(soc::Task &task, double noise);
     void appendPreProcessing(soc::Task &task, double noise);
     void appendPostProcessing(soc::Task &task, double noise);
+    void appendFastcvOffload(soc::Task &task, double noise);
+    /** Table I: some post-processing tasks run only for some formats. */
+    bool postTaskRuns(models::PostTask post) const;
+    std::vector<sim::Work> preProcessingItems() const;
+    std::size_t computeFrameSteps() const;
     std::int64_t inputElements() const;
 };
 

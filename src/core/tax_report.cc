@@ -49,6 +49,19 @@ TaxReport::TaxReport(std::string config_label)
 }
 
 void
+TaxReport::reserve(std::size_t runs, bool degraded)
+{
+    if (this->runs() != 0)
+        return;
+    for (auto &stage : stages)
+        stage.reserve(runs);
+    e2e.reserve(runs);
+    tax.reserve(runs);
+    if (degraded)
+        degraded_.reserve(runs);
+}
+
+void
 TaxReport::add(const StageLatencies &run)
 {
     for (Stage s : kAllStages)

@@ -8,6 +8,7 @@
 #define AITAX_CORE_TAX_REPORT_H
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -44,6 +45,14 @@ class TaxReport
 
     const std::string &label() const { return label_; }
     void setLabel(std::string l) { label_ = std::move(l); }
+
+    /**
+     * Size an empty report for @p runs runs (and their degraded-mode
+     * column when @p degraded), so recording them never regrows a
+     * sample vector. A report that already holds runs is left to grow
+     * by doubling: exact steps per batch would copy it every batch.
+     */
+    void reserve(std::size_t runs, bool degraded);
 
     /** Record one run. */
     void add(const StageLatencies &run);

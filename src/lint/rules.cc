@@ -154,6 +154,7 @@ checkUnordered(const FileContext &f, std::vector<Finding> &out)
 // --- raw-new-delete ----------------------------------------------------
 
 const std::vector<std::string_view> kHotPaths = {
+    "src/runtime/",
     "src/sim/",
     "src/soc/",
 };

@@ -45,9 +45,9 @@ Network::Network(std::shared_ptr<const graph::Graph> g,
 
 void
 Network::appendInvoke(soc::SocSystem &sys, soc::Task &task,
-                      ExecOptions exec_opts) const
+                      ExecOptions exec_opts, InvokeContext &ctx) const
 {
-    appendPlanExecution(sys, task, plan_, exec_opts);
+    appendPlanExecution(sys, task, plan_, exec_opts, ctx);
 }
 
 } // namespace aitax::runtime::snpe

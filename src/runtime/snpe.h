@@ -49,7 +49,7 @@ class Network
 
     /** Append one inference invocation to @p task. */
     void appendInvoke(soc::SocSystem &sys, soc::Task &task,
-                      ExecOptions exec_opts) const;
+                      ExecOptions exec_opts, InvokeContext &ctx) const;
 
   private:
     std::shared_ptr<const graph::Graph> graph_;

@@ -62,10 +62,10 @@ Interpreter::Interpreter(std::shared_ptr<const graph::Graph> g,
 
 void
 Interpreter::appendInvoke(soc::SocSystem &sys, soc::Task &task,
-                          ExecOptions exec_opts) const
+                          ExecOptions exec_opts, InvokeContext &ctx) const
 {
     exec_opts.cpuThreads = opts.threads;
-    appendPlanExecution(sys, task, plan_, exec_opts);
+    appendPlanExecution(sys, task, plan_, exec_opts, ctx);
 }
 
 } // namespace aitax::runtime::tflite

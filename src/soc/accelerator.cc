@@ -98,8 +98,6 @@ Accelerator::execDuration(double ops, double bytes,
 void
 Accelerator::submit(AccelJob job)
 {
-    if (tracer.isEnabled() && !job.label.valid())
-        job.label = tracer.internLabel(job.name);
     queue.push_back(std::move(job));
     if (!busy_)
         startNext();
@@ -114,11 +112,11 @@ Accelerator::startNext()
     busy_ = true;
     if (fabric)
         fabric->onClientChange(+1);
-    AccelJob job = std::move(queue.front());
+    current_ = std::move(queue.front());
     queue.pop_front();
 
     sim::DurationNs duration =
-        execDuration(job.ops, job.bytes, job.format);
+        execDuration(current_.ops, current_.bytes, current_.format);
     const sim::TimeNs start = sim.now();
 
     // Injected busy-hang: the job stalls on the device. Stalls that
@@ -139,12 +137,10 @@ Accelerator::startNext()
         }
     }
 
-    completions_.push(0, sim.now() + duration, [this,
-                                                job = std::move(job),
-                                                start, killed] {
+    completions_.push(0, sim.now() + duration, [this, start, killed] {
         const sim::TimeNs now = sim.now();
-        if (job.label.valid())
-            tracer.recordInterval(track_, job.label, start, now);
+        if (current_.label.valid())
+            tracer.recordInterval(track_, current_.label, start, now);
         const PowerDomain domain = cfg.kind == AcceleratorKind::Gpu
                                        ? PowerDomain::Gpu
                                        : PowerDomain::Dsp;
@@ -155,10 +151,10 @@ Accelerator::startNext()
             if (energy)
                 energy->addStatic(domain, now - start);
         } else {
-            if (job.bytes > 0)
-                tracer.recordCounter(axi_, now, job.bytes);
+            if (current_.bytes > 0)
+                tracer.recordCounter(axi_, now, current_.bytes);
             if (energy) {
-                energy->addDynamic(domain, job.ops);
+                energy->addDynamic(domain, current_.ops);
                 energy->addStatic(domain, now - start);
             }
             ++completed;
@@ -166,13 +162,16 @@ Accelerator::startNext()
         busy_ = false;
         if (fabric)
             fabric->onClientChange(-1);
-        if (job.onDone) {
+        // Taken out first: the callback may submit, and the next
+        // dispatch reuses current_.
+        AccelDoneFn done = std::move(current_.onDone);
+        if (done) {
             AccelCompletion completion;
             completion.startedAt = start;
             completion.finishedAt = now;
             completion.execNs = killed ? 0 : now - start;
             completion.failed = killed;
-            job.onDone(completion);
+            done(completion);
         }
         startNext();
     });

@@ -6,18 +6,23 @@
  * arrivals queue — the structural property behind the paper's
  * multi-tenancy result (Fig 9: "there is only one DSP available for
  * ML model acceleration on this particular SoC").
+ *
+ * A job carries its trace label, not a name, and an inline completion
+ * callback; the server keeps its one in-flight job as a member and
+ * queues the rest in a reused ring, so a submission allocates nothing
+ * once the ring has reached its depth.
  */
 
 #ifndef AITAX_SOC_ACCELERATOR_H
 #define AITAX_SOC_ACCELERATOR_H
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <string>
 
 #include "faults/injector.h"
+#include "sim/inline_function.h"
 #include "sim/local_queue.h"
+#include "sim/ring_queue.h"
 #include "sim/simulator.h"
 #include "soc/energy.h"
 #include "soc/memory.h"
@@ -43,21 +48,23 @@ struct AccelCompletion
     bool failed = false;
 };
 
+/** Completion callback of an accelerator job. */
+using AccelDoneFn = sim::InlineFunction<void(const AccelCompletion &)>;
+
 /** A unit of accelerator work. */
 struct AccelJob
 {
-    std::string name;
     /**
-     * Interned trace label for @ref name. Submitters on a hot path
-     * (pipelines) pre-resolve it; left invalid, submit() interns once.
+     * Trace label of the job's busy interval; the interval is recorded
+     * only when the label is valid. Submitters resolve it once and
+     * cache it (runtime::InvokeContext, trace::LazyLabel).
      */
     trace::LabelId label;
     double ops = 0.0;
     double bytes = 0.0;
     tensor::DType format = tensor::DType::Float32;
     /** Called at completion (or watchdog-kill) time. */
-    // aitax-lint: allow(std-function) -- public callback seam; cold path
-    std::function<void(const AccelCompletion &)> onDone;
+    AccelDoneFn onDone;
 };
 
 /**
@@ -114,7 +121,9 @@ class Accelerator
      * at push time matches what a direct schedule() would have used.
      */
     sim::LocalEventQueue completions_;
-    std::deque<AccelJob> queue;
+    sim::RingQueue<AccelJob> queue;
+    /** The job on the device; valid while busy_. */
+    AccelJob current_;
     bool busy_ = false;
     std::int64_t completed = 0;
     trace::TrackId track_;

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <utility>
 
 namespace aitax::soc {
@@ -25,22 +24,16 @@ FastRpcBreakdown::totalNs() const
 
 /**
  * State of one logical call, shared by its (possibly several)
- * attempts. The original job parameters are kept here so a retry can
- * resubmit an identical AccelJob after a transient failure or
- * watchdog kill consumed the previous one.
+ * attempts. The original job is kept here so a retry can resubmit an
+ * identical AccelJob after a transient failure or watchdog kill
+ * consumed the previous one, and so the caller can see it at the end.
  */
 struct FastRpcChannel::CallState
 {
-    std::shared_ptr<FastRpcBreakdown> breakdown;
-    std::string jobName;
-    trace::LabelId jobLabel;
-    double ops = 0.0;
-    double bytes = 0.0;
-    tensor::DType format = tensor::DType::Float32;
-    // aitax-lint: allow(std-function) -- per-call seam, not per-event
-    std::function<void(const AccelCompletion &)> innerDone;
-    // aitax-lint: allow(std-function) -- per-call seam, not per-event
-    std::function<void(const FastRpcBreakdown &)> onDone;
+    FastRpcBreakdown breakdown;
+    /** The caller's job; its onDone runs only if the call succeeds. */
+    AccelJob job;
+    RpcDoneFn onDone;
     int attempt = 1;
     AccelCompletion completion;
 };
@@ -76,26 +69,50 @@ FastRpcChannel::FastRpcChannel(sim::Simulator &sim, FastRpcConfig cfg,
     validateFastRpcConfig(this->cfg);
 }
 
+FastRpcChannel::~FastRpcChannel() = default;
+
 bool
 FastRpcChannel::sessionOpen(std::int32_t process_id) const
 {
-    return sessions.count(process_id) > 0;
+    return std::find(sessions.begin(), sessions.end(), process_id) !=
+           sessions.end();
 }
 
 void
 FastRpcChannel::closeSession(std::int32_t process_id)
 {
-    sessions.erase(process_id);
+    sessions.erase(
+        std::remove(sessions.begin(), sessions.end(), process_id),
+        sessions.end());
+}
+
+FastRpcChannel::CallState *
+FastRpcChannel::acquireState()
+{
+    if (freeStates_.empty()) {
+        states_.push_back(std::make_unique<CallState>());
+        return states_.back().get();
+    }
+    CallState *state = freeStates_.back();
+    freeStates_.pop_back();
+    return state;
+}
+
+void
+FastRpcChannel::releaseState(CallState *state)
+{
+    // Drop the callbacks' captures (resume tokens own their tasks) now
+    // rather than at the state's next use.
+    *state = CallState{};
+    freeStates_.push_back(state);
 }
 
 void
 FastRpcChannel::call(std::int32_t process_id, double payload_bytes,
-                     AccelJob job,
-                     // aitax-lint: allow(std-function) -- see header
-                     std::function<void(const FastRpcBreakdown &)>
-                         on_done)
+                     AccelJob job, RpcDoneFn on_done)
 {
-    auto breakdown = std::make_shared<FastRpcBreakdown>();
+    CallState *state = acquireState();
+    FastRpcBreakdown &breakdown = state->breakdown;
 
     // Injected session loss: the DSP subsystem restarted since the
     // last call, so every process re-pays the Fig 8 cold start.
@@ -106,39 +123,30 @@ FastRpcChannel::call(std::int32_t process_id, double payload_bytes,
 
     sim::DurationNs pre = 0;
     if (!sessionOpen(process_id)) {
-        sessions.insert(process_id);
-        breakdown->sessionOpenNs = cfg.sessionOpenNs;
+        sessions.push_back(process_id);
+        breakdown.sessionOpenNs = cfg.sessionOpenNs;
         pre += cfg.sessionOpenNs;
     }
-    breakdown->userToKernelNs = cfg.userToKernelNs;
+    breakdown.userToKernelNs = cfg.userToKernelNs;
     pre += cfg.userToKernelNs;
 
     const auto flush_ns = static_cast<sim::DurationNs>(std::ceil(
         payload_bytes / cfg.cacheFlushBytesPerSec * 1e9));
-    breakdown->cacheFlushNs = flush_ns;
+    breakdown.cacheFlushNs = flush_ns;
     pre += flush_ns;
 
-    breakdown->kernelSignalNs = cfg.kernelSignalNs;
+    breakdown.kernelSignalNs = cfg.kernelSignalNs;
     pre += cfg.kernelSignalNs;
 
-    auto state = std::make_shared<CallState>();
-    state->breakdown = std::move(breakdown);
-    state->jobName = std::move(job.name);
-    state->jobLabel = job.label;
-    state->ops = job.ops;
-    state->bytes = job.bytes;
-    state->format = job.format;
-    state->innerDone = std::move(job.onDone);
+    state->job = std::move(job);
     state->onDone = std::move(on_done);
 
     // After the CPU-side stages, the job lands in the DSP queue.
-    sim.scheduleIn(pre, [this, state = std::move(state)]() mutable {
-        startAttempt(std::move(state));
-    });
+    sim.scheduleIn(pre, [this, state] { startAttempt(state); });
 }
 
 void
-FastRpcChannel::startAttempt(std::shared_ptr<CallState> state)
+FastRpcChannel::startAttempt(CallState *state)
 {
     const sim::TimeNs enqueued = sim.now();
 
@@ -148,19 +156,17 @@ FastRpcChannel::startAttempt(std::shared_ptr<CallState> state)
         faults_->recordTransient(enqueued);
         const sim::DurationNs detect =
             faults_->config().transientDetectNs;
-        sim.scheduleIn(detect,
-                       [this, state = std::move(state), detect]() mutable {
-                           retryOrFail(std::move(state), detect);
-                       });
+        sim.scheduleIn(detect, [this, state, detect] {
+            retryOrFail(state, detect);
+        });
         return;
     }
 
     AccelJob attempt;
-    attempt.name = state->jobName;
-    attempt.label = state->jobLabel;
-    attempt.ops = state->ops;
-    attempt.bytes = state->bytes;
-    attempt.format = state->format;
+    attempt.label = state->job.label;
+    attempt.ops = state->job.ops;
+    attempt.bytes = state->job.bytes;
+    attempt.format = state->job.format;
     attempt.onDone = [this, state,
                       enqueued](const AccelCompletion &completion) {
         if (completion.failed) {
@@ -173,26 +179,24 @@ FastRpcChannel::startAttempt(std::shared_ptr<CallState> state)
         // the *observed* dispatch/completion times rather than a
         // duration estimated at enqueue time — fabric derate may
         // have changed while the job sat in the queue.
-        state->breakdown->queueWaitNs =
-            completion.startedAt - enqueued;
-        state->breakdown->dspExecNs = completion.execNs;
+        state->breakdown.queueWaitNs = completion.startedAt - enqueued;
+        state->breakdown.dspExecNs = completion.execNs;
         state->completion = completion;
-        finishCall(std::move(state));
+        finishCall(state);
     };
     dsp.submit(std::move(attempt));
 }
 
 void
-FastRpcChannel::retryOrFail(std::shared_ptr<CallState> state,
-                            sim::DurationNs wasted)
+FastRpcChannel::retryOrFail(CallState *state, sim::DurationNs wasted)
 {
     assert(faults_ != nullptr && "retry path requires an injector");
-    state->breakdown->retryNs += wasted;
+    state->breakdown.retryNs += wasted;
     const faults::FaultConfig &fcfg = faults_->config();
     if (state->attempt >= fcfg.maxAttempts) {
-        state->breakdown->failed = true;
+        state->breakdown.failed = true;
         faults_->recordPermanentFailure(sim.now(), wasted);
-        finishCall(std::move(state));
+        finishCall(state);
         return;
     }
     // Exponential backoff in simulated time, capped to keep the
@@ -200,28 +204,26 @@ FastRpcChannel::retryOrFail(std::shared_ptr<CallState> state,
     const int exponent = std::min(state->attempt - 1, 16);
     const sim::DurationNs backoff = fcfg.retryBackoffBaseNs
                                     << exponent;
-    state->breakdown->retryNs += backoff;
-    ++state->breakdown->retries;
+    state->breakdown.retryNs += backoff;
+    ++state->breakdown.retries;
     ++state->attempt;
     faults_->recordRetry(sim.now(), wasted + backoff);
-    sim.scheduleIn(backoff, [this, state = std::move(state)]() mutable {
-        startAttempt(std::move(state));
-    });
+    sim.scheduleIn(backoff, [this, state] { startAttempt(state); });
 }
 
 void
-FastRpcChannel::finishCall(std::shared_ptr<CallState> state)
+FastRpcChannel::finishCall(CallState *state)
 {
-    state->breakdown->returnPathNs = cfg.returnPathNs;
-    sim.scheduleIn(cfg.returnPathNs, [this,
-                                      state = std::move(state)] {
+    state->breakdown.returnPathNs = cfg.returnPathNs;
+    sim.scheduleIn(cfg.returnPathNs, [this, state] {
         ++completed;
         // A permanently failed call never ran; only the error is
         // propagated back to the caller, which handles degradation.
-        if (!state->breakdown->failed && state->innerDone)
-            state->innerDone(state->completion);
+        if (!state->breakdown.failed && state->job.onDone)
+            state->job.onDone(state->completion);
         if (state->onDone)
-            state->onDone(*state->breakdown);
+            state->onDone(state->breakdown, state->job);
+        releaseState(state);
     });
 }
 

@@ -6,16 +6,17 @@
  * coherency) -> DSP-side driver and back. The first call from a
  * process additionally pays the session-open cost (process mapping +
  * library load), the paper's DSP cold-start penalty (Fig 8).
+ *
+ * A call costs no heap in steady state: its state, breakdown included,
+ * comes from a per-channel free list that is refilled when the call
+ * completes and reused by retries, and both callbacks are inline.
  */
 
 #ifndef AITAX_SOC_FASTRPC_H
 #define AITAX_SOC_FASTRPC_H
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <set>
-#include <string>
 #include <vector>
 
 #include "faults/injector.h"
@@ -48,6 +49,14 @@ struct FastRpcBreakdown
 };
 
 /**
+ * Completion callback of a FastRPC call: the call's breakdown, and the
+ * job it carried, which a caller re-runs elsewhere after a permanent
+ * failure.
+ */
+using RpcDoneFn =
+    sim::InlineFunction<void(const FastRpcBreakdown &, const AccelJob &)>;
+
+/**
  * The FastRPC channel to one DSP.
  */
 class FastRpcChannel
@@ -58,6 +67,7 @@ class FastRpcChannel
 
     FastRpcChannel(const FastRpcChannel &) = delete;
     FastRpcChannel &operator=(const FastRpcChannel &) = delete;
+    ~FastRpcChannel();
 
     /**
      * Issue a remote call.
@@ -78,9 +88,7 @@ class FastRpcChannel
      * @param on_done completion callback, given the call's breakdown.
      */
     void call(std::int32_t process_id, double payload_bytes,
-              AccelJob job,
-              // aitax-lint: allow(std-function) -- public callback seam
-              std::function<void(const FastRpcBreakdown &)> on_done);
+              AccelJob job, RpcDoneFn on_done);
 
     /** True once a process has an open DSP session. */
     bool sessionOpen(std::int32_t process_id) const;
@@ -107,13 +115,19 @@ class FastRpcChannel
     FastRpcConfig cfg;
     Accelerator &dsp;
     faults::FaultInjector *faults_ = nullptr;
-    std::set<std::int32_t> sessions;
+    /** Processes with an open session, in insertion order. */
+    std::vector<std::int32_t> sessions;
     std::int64_t completed = 0;
+    /** Every call state this channel has made; owned here. */
+    std::vector<std::unique_ptr<CallState>> states_;
+    /** States of finished calls, ready for the next call. */
+    std::vector<CallState *> freeStates_;
 
-    void startAttempt(std::shared_ptr<CallState> state);
-    void retryOrFail(std::shared_ptr<CallState> state,
-                     sim::DurationNs wasted);
-    void finishCall(std::shared_ptr<CallState> state);
+    CallState *acquireState();
+    void releaseState(CallState *state);
+    void startAttempt(CallState *state);
+    void retryOrFail(CallState *state, sim::DurationNs wasted);
+    void finishCall(CallState *state);
 };
 
 } // namespace aitax::soc

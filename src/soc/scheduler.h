@@ -16,12 +16,12 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "sim/random.h"
+#include "sim/ring_queue.h"
 #include "sim/simulator.h"
 #include "soc/dvfs.h"
 #include "soc/energy.h"
@@ -107,7 +107,8 @@ class OsScheduler
     /** DVFS or fabric contention is on: core rates move mid-slice. */
     bool ratesVary_;
     std::vector<Core> cores;
-    std::deque<std::shared_ptr<Task>> runQueue;
+    /** Ready tasks in arrival order, in one reused buffer. */
+    sim::RingQueue<std::shared_ptr<Task>> runQueue;
     sim::RandomStream balanceRng;
     trace::EventKindId migrationKind_;
     trace::EventKindId ctxSwitchKind_;

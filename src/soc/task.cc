@@ -4,8 +4,8 @@
 
 namespace aitax::soc {
 
-Task::Task(std::string name, bool background, sim::Arena *arena)
-    : name_(std::move(name)), background_(background),
+Task::Task(std::string_view name, bool background, sim::Arena *arena)
+    : name_(name), background_(background),
       steps(sim::ArenaAllocator<TaskStep>(arena))
 {
 }
@@ -54,12 +54,12 @@ Task::finish(sim::TimeNs now)
 }
 
 std::shared_ptr<Task>
-makeTask(sim::Arena *arena, std::string name, bool background)
+makeTask(sim::Arena *arena, std::string_view name, bool background)
 {
     if (arena != nullptr)
         return std::allocate_shared<Task>(sim::ArenaAllocator<Task>(arena),
-                                          std::move(name), background, arena);
-    return std::make_shared<Task>(std::move(name), background);
+                                          name, background, arena);
+    return std::make_shared<Task>(name, background);
 }
 
 } // namespace aitax::soc

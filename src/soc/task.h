@@ -7,15 +7,23 @@
  * executes compute steps on cores, preempting at time-slice
  * boundaries; blocking steps take the task off the run queue until an
  * external completion resumes it.
+ *
+ * A task costs no heap on the per-frame path: it lives in the run's
+ * arena with its step vector, which its builder reserves once from the
+ * program's known length, and its name is a view of a string owned by
+ * whoever builds its program (an Application, a background loop, a
+ * runtime::InvokeContext) or a literal, so no name is copied per task.
  */
 
 #ifndef AITAX_SOC_TASK_H
 #define AITAX_SOC_TASK_H
 
 #include <cassert>
+#include <concepts>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -119,10 +127,18 @@ enum class TaskState
 class Task
 {
   public:
-    explicit Task(std::string name, bool background = false,
+    /**
+     * @param name not copied: it must outlive the task's trace records
+     *        (a literal, or a string its builder keeps). A temporary
+     *        std::string is refused at compile time.
+     */
+    explicit Task(std::string_view name, bool background = false,
                   sim::Arena *arena = nullptr);
+    template <typename S>
+        requires std::same_as<S, std::string>
+    Task(S &&, bool = false, sim::Arena * = nullptr) = delete;
 
-    const std::string &name() const { return name_; }
+    std::string_view name() const { return name_; }
 
     /**
      * Interned label for this task's name, resolved lazily on first
@@ -140,6 +156,11 @@ class Task
 
     /** Background tasks never get priority pick of big cores. */
     bool isBackground() const { return background_; }
+
+    /** Make room for @p steps steps, so building them never regrows. */
+    void reserve(std::size_t steps) { this->steps.reserve(steps); }
+    /** Steps pushed so far, consumed ones included. */
+    std::size_t stepCount() const { return steps.size(); }
 
     Task &compute(sim::Work work, WorkClass cls);
     Task &sleep(sim::DurationNs duration);
@@ -181,7 +202,7 @@ class Task
     void finish(sim::TimeNs now);
 
   private:
-    std::string name_;
+    std::string_view name_;
     mutable trace::LabelId traceLabel_;
     bool background_ = false;
     TaskState state_ = TaskState::Created;
@@ -201,10 +222,13 @@ class Task
  * control block and Task share one arena allocation freed by arena
  * reset), falling back to the heap otherwise. All task shared_ptrs die
  * with the owning SocSystem, which is destroyed before its arena is
- * reset.
+ * reset. @p name is viewed, not copied (see Task::Task).
  */
-std::shared_ptr<Task> makeTask(sim::Arena *arena, std::string name,
+std::shared_ptr<Task> makeTask(sim::Arena *arena, std::string_view name,
                                bool background = false);
+template <typename S>
+    requires std::same_as<S, std::string>
+std::shared_ptr<Task> makeTask(sim::Arena *, S &&, bool = false) = delete;
 
 } // namespace aitax::soc
 

@@ -18,8 +18,15 @@ effectiveJobs(int requested)
 {
     if (requested >= 1)
         return requested;
-    if (const char *env = std::getenv("AITAX_JOBS")) {
-        const int n = std::atoi(env);
+    if (const char *env = std::getenv("AITAX_JOBS"); env && *env) {
+        int n = 0;
+        if (!stats::parseWhole(env, n)) {
+            std::fprintf(stderr,
+                         "aitax: AITAX_JOBS needs a whole number, got "
+                         "'%s'\n",
+                         env);
+            std::exit(2);
+        }
         if (n >= 1)
             return n;
     }

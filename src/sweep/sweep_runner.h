@@ -31,7 +31,9 @@ namespace aitax::sweep {
 /**
  * Resolve a worker-count request: values >= 1 pass through; 0 (the
  * "default" sentinel) falls back to the AITAX_JOBS environment
- * variable if set, else std::thread::hardware_concurrency().
+ * variable if set and >= 1, else std::thread::hardware_concurrency().
+ * AITAX_JOBS must be one whole number (stats::parseWhole); a malformed
+ * value prints a usage error and exits 2.
  */
 int effectiveJobs(int requested);
 

@@ -24,6 +24,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/arena.h"
@@ -311,6 +312,33 @@ class Tracer
     std::vector<CounterStore> counters_;
     std::vector<std::string> counterNames_;
     InternMap counterIds_;
+};
+
+/**
+ * A name built once by its owner, whose label is interned on first
+ * use and then cached, so steady-state records skip both the string
+ * and the interner. Nothing is interned until resolve() is called
+ * with tracing on. The cached id belongs to one tracer.
+ */
+class LazyLabel
+{
+  public:
+    explicit LazyLabel(std::string name) : name_(std::move(name)) {}
+
+    const std::string &name() const { return name_; }
+
+    /** The interned label; invalid while @p tracer is disabled. */
+    LabelId
+    resolve(Tracer &tracer)
+    {
+        if (!id_.valid() && tracer.isEnabled())
+            id_ = tracer.internLabel(name_);
+        return id_;
+    }
+
+  private:
+    std::string name_;
+    LabelId id_;
 };
 
 } // namespace aitax::trace

@@ -197,6 +197,9 @@ TEST(StreamingDistribution, DeserializeEveryPrefixIsSafe)
 #ifndef AITAX_CLI_PATH
 #error "build must define AITAX_CLI_PATH"
 #endif
+#ifndef AITAX_SWEEP_THROUGHPUT_PATH
+#error "build must define AITAX_SWEEP_THROUGHPUT_PATH"
+#endif
 
 constexpr int kScenarios = 48;
 constexpr int kChunk = 8;
@@ -397,14 +400,20 @@ TEST(CampaignSpec, NumbersMustConsumeTheWholeValue)
 
 // --- aitax_cli numeric flags ----------------------------------------
 
-/** Exit status of `aitax_cli <args>` (output discarded); -1 if killed. */
+/** Exit status of shell command @p cmd (output discarded); -1 if killed. */
 int
-cliExitStatus(const std::string &args)
+exitStatus(const std::string &cmd)
 {
-    const std::string cmd =
-        std::string(AITAX_CLI_PATH) + " " + args + " >/dev/null 2>&1";
-    const int status = std::system(cmd.c_str());
+    const int status = std::system((cmd + " >/dev/null 2>&1").c_str());
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/** Exit status of `[env] aitax_cli <args>`. */
+int
+cliExitStatus(const std::string &args, const std::string &env = "")
+{
+    return exitStatus(env + (env.empty() ? "" : " ") + AITAX_CLI_PATH +
+                      " " + args);
 }
 
 TEST(CampaignCli, MalformedNumericFlagsAreUsageErrors)
@@ -426,6 +435,23 @@ TEST(CampaignCli, MalformedNumericFlagsAreUsageErrors)
     EXPECT_EQ(cliExitStatus("verify --fuzz 0 --engine warp"), 2);
     // Well-formed values still parse (no connection is accepted).
     EXPECT_EQ(cliExitStatus("serve --listen 0 --accept 0 --jobs 1"), 0);
+}
+
+TEST(CampaignCli, MalformedJobCountsAreUsageErrors)
+{
+    // AITAX_JOBS is read as strictly as --jobs: "abc" used to mean
+    // every core and "3x" three workers.
+    EXPECT_EQ(cliExitStatus("verify --fuzz 2", "AITAX_JOBS=abc"), 2);
+    EXPECT_EQ(cliExitStatus("verify --fuzz 2", "AITAX_JOBS=3x"), 2);
+    const std::string throughput = AITAX_SWEEP_THROUGHPUT_PATH;
+    EXPECT_EQ(exitStatus(throughput + " --scenarios 2x --runs 1 --jobs 1"),
+              2);
+    EXPECT_EQ(exitStatus(throughput + " --scenarios 2 --runs 1y --jobs 1"),
+              2);
+    EXPECT_EQ(exitStatus(throughput + " --scenarios 2 --runs 1 --jobs 1z"),
+              2);
+    EXPECT_EQ(exitStatus(throughput + " --serve --jobs 1x"), 2);
+    EXPECT_EQ(exitStatus(throughput + " --serve --exit-after abc"), 2);
 }
 
 TEST(CampaignCli, FailedOutputWritesExitOne)

@@ -128,7 +128,7 @@ TEST(ArmFaults, DisabledArmLeavesTraceByteIdentical)
         if (arm_disabled)
             sys.armFaults(FaultConfig{});
         soc::AccelJob job;
-        job.name = "probe";
+        job.label = sys.tracer().internLabel("probe");
         job.ops = 1e8;
         job.format = DType::UInt8;
         sys.dsp().submit(std::move(job));
@@ -174,7 +174,7 @@ struct RpcRig
         job.ops = 1e6;
         job.format = DType::UInt8;
         rpc.call(1, 1e3, std::move(job),
-                 [&](const soc::FastRpcBreakdown &b) {
+                 [&](const soc::FastRpcBreakdown &b, const soc::AccelJob &) {
                      log.push_back(b);
                  });
         sim.run();
@@ -215,7 +215,7 @@ TEST(Faults, TransientFailuresRetryThenFailPermanently)
         inner_done_fired = true;
     };
     rig.rpc.call(1, 1e3, std::move(job),
-                 [&](const soc::FastRpcBreakdown &b) {
+                 [&](const soc::FastRpcBreakdown &b, const soc::AccelJob &) {
                      log.push_back(b);
                  });
     rig.sim.run();
@@ -247,7 +247,7 @@ TEST(Faults, WatchdogKillsGuaranteedHang)
 
     std::vector<soc::AccelCompletion> completions;
     soc::AccelJob job;
-    job.name = "hung";
+    job.label = rig.tracer.internLabel("hung");
     job.ops = 1e6;
     job.format = DType::UInt8;
     job.onDone = [&](const soc::AccelCompletion &c) {
@@ -278,7 +278,7 @@ TEST(Faults, SubWatchdogStallJustFinishesLate)
         rig.dsp.execDuration(1e6, 0.0, DType::UInt8);
     std::vector<soc::AccelCompletion> completions;
     soc::AccelJob job;
-    job.name = "slow";
+    job.label = rig.tracer.internLabel("slow");
     job.ops = 1e6;
     job.format = DType::UInt8;
     job.onDone = [&](const soc::AccelCompletion &c) {

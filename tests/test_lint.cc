@@ -266,6 +266,17 @@ TEST(RuleStdFunction, FlagsStdFunctionOnHotPaths)
     EXPECT_EQ(findingLines(r), (std::multiset<int>{6, 10}));
 }
 
+TEST(RuleStdFunction, RuntimeIsAHotPath)
+{
+    // src/runtime/ builds every frame's offload closures.
+    const auto fn = lintFixture("std_function_bad.cc", "src/runtime/x.cc",
+                                {"std-function"});
+    EXPECT_EQ(findingLines(fn), (std::multiset<int>{6, 10}));
+    const auto alloc = lintFixture("new_delete_bad.cc", "src/runtime/x.cc",
+                                   {"raw-new-delete"});
+    EXPECT_EQ(findingLines(alloc), (std::multiset<int>{10, 12, 13, 14}));
+}
+
 TEST(RuleStdFunction, EventFnAndProsePass)
 {
     const auto r = lintFixture("std_function_clean.cc", "src/sim/x.cc",

@@ -97,10 +97,12 @@ TEST(Plan, SummaryMentionsNameAndPartitions)
 
 sim::TimeNs
 runPlan(soc::SocSystem &sys, const ExecutionPlan &plan,
-        ExecOptions opts)
+        ExecOptions opts,
+        std::vector<soc::FastRpcBreakdown> *rpc_log = nullptr)
 {
+    InvokeContext ctx("inference", 1, rpc_log);
     auto task = std::make_shared<soc::Task>("exec");
-    appendPlanExecution(sys, *task, plan, opts);
+    appendPlanExecution(sys, *task, plan, opts, ctx);
     sim::TimeNs done = 0;
     task->setOnComplete([&](sim::TimeNs t) { done = t; });
     sys.scheduler().submit(task);
@@ -149,9 +151,7 @@ TEST(Execute, DspPlanCrossesFastRpc)
                   drivers::tfliteCpuDriver());
     soc::SocSystem sys(soc::makeSnapdragon845());
     std::vector<soc::FastRpcBreakdown> log;
-    ExecOptions opts;
-    opts.rpcLog = &log;
-    runPlan(sys, plan, opts);
+    runPlan(sys, plan, {}, &log);
     EXPECT_EQ(sys.dsp().jobsCompleted(), 1);
     ASSERT_EQ(log.size(), 1u);
     EXPECT_GT(log[0].sessionOpenNs, 0); // cold start
@@ -228,9 +228,7 @@ TEST(Execute, TightlyCoupledDspSkipsFastRpc)
     platform.dsp.tightlyCoupled = true;
     soc::SocSystem sys(platform);
     std::vector<soc::FastRpcBreakdown> log;
-    ExecOptions opts;
-    opts.rpcLog = &log;
-    const auto tight_time = runPlan(sys, plan, opts);
+    const auto tight_time = runPlan(sys, plan, {}, &log);
     EXPECT_EQ(sys.dsp().jobsCompleted(), 1);
     EXPECT_TRUE(log.empty());                 // no FastRPC crossing
     EXPECT_EQ(sys.fastrpc().callsCompleted(), 0);
@@ -355,7 +353,8 @@ TEST(Nnapi, BurstExecutionIsFaster)
             DType::UInt8, opts);
         soc::SocSystem sys(soc::makeSnapdragon845(), 3);
         auto task = std::make_shared<soc::Task>("burst_test");
-        interp.appendInvoke(sys, *task, {});
+        InvokeContext ctx("inference");
+        interp.appendInvoke(sys, *task, {}, ctx);
         sim::TimeNs done = 0;
         task->setOnComplete([&](sim::TimeNs t) { done = t; });
         sys.scheduler().submit(task);
@@ -448,7 +447,8 @@ TEST(Snpe, FloatModelRunsAsFp16OnDsp)
     // Executes without assertion failures (fp32 jobs map to fp16).
     soc::SocSystem sys(soc::makeSnapdragon845());
     auto task = std::make_shared<soc::Task>("snpe_fp");
-    net.appendInvoke(sys, *task, {});
+    InvokeContext ctx("inference");
+    net.appendInvoke(sys, *task, {}, ctx);
     sys.scheduler().submit(task);
     sys.run();
     EXPECT_EQ(sys.dsp().jobsCompleted(), 1);

@@ -20,6 +20,12 @@
  *     task's slice expiries, each drawing a load-balance destination
  *     and migrating, touch the heap zero times.
  *
+ *  4. Steady-state frames are allocation-free: building a frame's task
+ *     program and running its offloads (GPU jobs, FastRPC calls to the
+ *     DSP, CPU thread pools, background inference loops) touches the
+ *     heap zero times, so a whole scenario allocates as often at 40
+ *     runs as at 10.
+ *
  * This lives in its own test binary so the operator new override
  * cannot perturb other suites.
  */
@@ -217,6 +223,50 @@ TEST(SimAlloc, LoneTaskSliceExpiriesAreAllocationFree)
 
 namespace aitax::verify {
 namespace {
+
+/** Heap allocations of one whole runScenario() of @p s at @p runs. */
+std::size_t
+scenarioAllocations(Scenario s, int runs)
+{
+    s.runs = runs;
+    sim::CountingScope scope;
+    runScenario(s);
+    return scope.count();
+}
+
+TEST(SimAlloc, SteadyStateFramesAreAllocationFree)
+{
+    Scenario gpu;
+    gpu.mode = app::HarnessMode::CliBenchmark;
+    gpu.framework = app::FrameworkKind::TfliteGpu;
+    gpu.dtype = tensor::DType::Float32;
+
+    Scenario hexagon = gpu; // crosses FastRPC
+    hexagon.framework = app::FrameworkKind::TfliteHexagon;
+    hexagon.dtype = tensor::DType::UInt8;
+
+    Scenario cpu = gpu; // 4-thread pool plus both kinds of loop
+    cpu.framework = app::FrameworkKind::TfliteCpu;
+    cpu.threads = 4;
+    cpu.dspLoadProcesses = 1;
+    cpu.cpuLoadProcesses = 1;
+
+    for (const Scenario &s : {gpu, hexagon, cpu}) {
+        ASSERT_TRUE(scenarioValid(s)) << s.describe();
+        // Warm run: process-wide caches, the arena's block and the
+        // warm-up snapshot are in place afterwards.
+        Scenario warm = s;
+        warm.runs = 40;
+        runScenario(warm);
+
+        const std::size_t at40 = scenarioAllocations(s, 40);
+        const std::size_t at10 = scenarioAllocations(s, 10);
+        EXPECT_EQ(at40, at10)
+            << s.describe() << ": 30 more frames allocated "
+            << static_cast<long long>(at40) - static_cast<long long>(at10)
+            << " more times";
+    }
+}
 
 TEST(SimAlloc, ScenarioRunsReuseOneArenaBlock)
 {

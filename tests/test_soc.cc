@@ -202,8 +202,10 @@ TEST(Scheduler, ParallelTasksUseSeparateCores)
     SocSystem sys(testConfig());
     // Two 1 ms tasks should finish in ~1 ms, not ~2 ms.
     sim::TimeNs last = 0;
+    // Task names are views: they must outlive the run.
+    constexpr const char *kNames[] = {"p0", "p1"};
     for (int i = 0; i < 2; ++i) {
-        auto task = std::make_shared<Task>("p" + std::to_string(i));
+        auto task = std::make_shared<Task>(kNames[i]);
         task->compute({3.64e6, 0.0}, WorkClass::Scalar);
         task->setOnComplete(
             [&](sim::TimeNs t) { last = std::max(last, t); });
@@ -219,8 +221,10 @@ TEST(Scheduler, OversubscriptionSharesWithRoundRobin)
     // completion of the last task takes roughly twice one task's time.
     SocSystem sys(testConfig());
     sim::TimeNs last = 0;
+    constexpr const char *kNames[] = {"q0", "q1", "q2", "q3", "q4",
+                                      "q5", "q6", "q7", "q8"};
     for (int i = 0; i < 9; ++i) {
-        auto task = std::make_shared<Task>("q" + std::to_string(i));
+        auto task = std::make_shared<Task>(kNames[i]);
         // 13 ms on a big core (several time slices).
         task->compute({3.64e6 * 13, 0.0}, WorkClass::Scalar);
         task->setOnComplete(
@@ -439,7 +443,7 @@ TEST(Accelerator, FifoQueueing)
     std::vector<sim::TimeNs> completions;
     for (int i = 0; i < 3; ++i) {
         AccelJob job;
-        job.name = "j" + std::to_string(i);
+        job.label = tracer.internLabel("j" + std::to_string(i));
         job.ops = 110e6; // ~1.08 ms each
         job.format = DType::UInt8;
         job.onDone = [&](const AccelCompletion &c) {
@@ -472,7 +476,7 @@ TEST(FastRpc, FirstCallPaysSessionOpen)
         job.ops = 110e6;
         job.format = DType::UInt8;
         rpc.call(1, 1e6, std::move(job),
-                 [&](const FastRpcBreakdown &b) { log.push_back(b); });
+                 [&](const FastRpcBreakdown &b, const AccelJob &) { log.push_back(b); });
         sim.run();
     }
     ASSERT_EQ(log.size(), 2u);
@@ -496,7 +500,7 @@ TEST(FastRpc, SessionsArePerProcess)
         job.ops = 1e6;
         job.format = DType::UInt8;
         rpc.call(pid, 1e3, std::move(job),
-                 [&](const FastRpcBreakdown &b) { log.push_back(b); });
+                 [&](const FastRpcBreakdown &b, const AccelJob &) { log.push_back(b); });
         sim.run();
     };
     call(1);
@@ -521,7 +525,7 @@ TEST(FastRpc, CacheFlushScalesWithPayload)
         job.ops = 1e6;
         job.format = DType::UInt8;
         rpc.call(1, payload, std::move(job),
-                 [&](const FastRpcBreakdown &b) { log.push_back(b); });
+                 [&](const FastRpcBreakdown &b, const AccelJob &) { log.push_back(b); });
         sim.run();
     };
     call(8e6);  // 1 ms at 8 GB/s
@@ -584,26 +588,26 @@ TEST(FastRpc, QueueWaitNonNegativeUnderFabricContention)
     FastRpcChannel rpc(sim, rpc_cfg, dsp);
 
     AccelJob g;
-    g.name = "G";
+    g.label = tracer.internLabel("G");
     g.ops = 10.0;
     g.bytes = 800e3;
     g.format = DType::Float32;
     gpu.submit(std::move(g));
 
     AccelJob a;
-    a.name = "A";
+    a.label = tracer.internLabel("A");
     a.ops = 1e8;
     a.format = DType::UInt8;
     dsp.submit(std::move(a));
 
     AccelJob b;
-    b.name = "B";
+    b.label = tracer.internLabel("B");
     b.ops = 1.0;
     b.bytes = 1e6;
     b.format = DType::UInt8;
     std::vector<FastRpcBreakdown> log;
     rpc.call(1, 0.0, std::move(b),
-             [&](const FastRpcBreakdown &bd) { log.push_back(bd); });
+             [&](const FastRpcBreakdown &bd, const AccelJob &) { log.push_back(bd); });
     sim.run();
 
     ASSERT_EQ(log.size(), 1u);
@@ -626,7 +630,7 @@ TEST(FastRpc, DropAllSessionsForcesReopen)
         job.ops = 1e6;
         job.format = DType::UInt8;
         rpc.call(1, 1e3, std::move(job),
-                 [&](const FastRpcBreakdown &b) { log.push_back(b); });
+                 [&](const FastRpcBreakdown &b, const AccelJob &) { log.push_back(b); });
         sim.run();
     };
     call();
@@ -696,7 +700,7 @@ TEST(FastRpc, QueueWaitWhenDspBusy)
         job.ops = 110e6;
         job.format = DType::UInt8;
         rpc.call(1, 1e3, std::move(job),
-                 [&](const FastRpcBreakdown &b) { log.push_back(b); });
+                 [&](const FastRpcBreakdown &b, const AccelJob &) { log.push_back(b); });
     };
     // Warm the session so both measured calls enqueue concurrently.
     issue();
@@ -910,9 +914,9 @@ TEST(MemoryFabric, ContentionSlowsMemoryBoundWork)
         SocSystem sys(cfg);
         // Two concurrent memory-bound tasks.
         sim::TimeNs last = 0;
+        constexpr const char *kNames[] = {"mem0", "mem1"};
         for (int i = 0; i < 2; ++i) {
-            auto task =
-                std::make_shared<Task>("mem" + std::to_string(i));
+            auto task = std::make_shared<Task>(kNames[i]);
             task->compute({10.0, 6.5e6}, WorkClass::Scalar);
             task->setOnComplete(
                 [&](sim::TimeNs t) { last = std::max(last, t); });
