@@ -259,33 +259,6 @@ BM_EventQueueSchedulePop(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueSchedulePop)->Arg(1'000)->Arg(100'000);
 
-void
-BM_EventQueueScheduleCancel(benchmark::State &state)
-{
-    const auto n = static_cast<int>(state.range(0));
-    sim::RandomStream rng(12);
-    std::vector<sim::TimeNs> when(static_cast<std::size_t>(n));
-    for (auto &w : when)
-        w = rng.uniformInt(0, 1'000'000);
-    std::int64_t sink = 0;
-    for (auto _ : state) {
-        sim::EventQueue q;
-        std::vector<sim::EventId> ids;
-        ids.reserve(static_cast<std::size_t>(n));
-        for (int i = 0; i < n; ++i)
-            ids.push_back(q.schedule(when[static_cast<std::size_t>(i)],
-                                     [&sink] { ++sink; }));
-        // Cancel every other event, then drain the survivors.
-        for (std::size_t i = 0; i < ids.size(); i += 2)
-            q.cancel(ids[i]);
-        while (!q.empty())
-            q.popAndRun();
-        benchmark::DoNotOptimize(sink);
-    }
-    state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_EventQueueScheduleCancel)->Arg(1'000)->Arg(100'000);
-
 /**
  * The Fast engine's target shape: a deep daemon backlog parks in the
  * heap while a foreground chain of events — each scheduled from the

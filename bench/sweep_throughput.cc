@@ -3,13 +3,19 @@
  * Sweep-throughput benchmark: the repo's wall-clock perf trajectory.
  *
  * Runs a fixed scenario matrix (models x frameworks x harness modes x
- * chipsets x seeds) three times — serially on the Fast engine, on the
- * sweep pool with the Fast engine, and on the pool with
- * the Reference engine — and emits a machine-readable BENCH_sweep.json
- * with scenarios/sec, the events/sec trajectory across the three
- * passes, p50 per-scenario wall time, the parallel speedup, and the
- * machine-normalized fast-vs-reference engine speedup. Later PRs
- * regress against these numbers (see docs/PERFORMANCE.md).
+ * chipsets x seeds) serially on the Fast engine, then on the sweep
+ * pool with the Fast and with the Reference engine, and emits a
+ * machine-readable BENCH_sweep.json with scenarios/sec, the events/sec
+ * trajectory across the three passes, p50 per-scenario wall time, the
+ * parallel speedup, and the machine-normalized fast-vs-reference
+ * engine speedup. Later PRs regress against these numbers (see
+ * docs/PERFORMANCE.md).
+ *
+ * A pool pass over the matrix takes a few hundredths of a second, too
+ * short to time once. So each engine is timed in samples: a sample
+ * repeats the pass until it has run for at least a second and reads
+ * the mean time per pass; each engine takes the min of three samples,
+ * the two engines alternating, and reports its samples' spread.
  *
  * --gate FILE turns the run into a CI regression gate: FILE is a
  * previously committed BENCH_sweep.json (bench/BENCH_baseline.json in
@@ -17,13 +23,15 @@
  * falls more than 10% below the baseline. The gate compares engine
  * ratios, not wall-clock, so it is stable across machine speeds.
  *
- * After the in-process passes the harness re-runs the matrix as a
+ * After the in-process passes the harness runs the matrix as a
  * multiprocess *campaign* (src/sweep/campaign.h) at --shards 1/2/4,
  * re-exec'ing itself in a hidden `--serve` worker mode, and records
  * the per-shard scaling rows plus the 4-vs-1 throughput ratio. Each
  * worker rebuilds the matrix from the campaign spec
- * ("corpus=bench scenarios=N runs=N ..."). The campaign aggregate must
- * be byte-identical across every shard count (enforced
+ * ("corpus=bench scenarios=N runs=N ..."). The campaign corpus is
+ * sized so that every one of 4 shards gets at least 4 chunks and the
+ * 1-shard campaign lasts at least a second. The campaign aggregate
+ * must be byte-identical across every shard count (enforced
  * unconditionally, like the checksum match); with --gate on a host
  * with >= 4 cores the 4-shard campaign must also be > 1.5x the
  * 1-shard throughput.
@@ -265,14 +273,78 @@ serveMain(int argc, char **argv)
     return sweep::runWorker(opts, {}, benchSpecResolver());
 }
 
+/** A sample lasts at least this long (engine passes, campaigns). */
+constexpr double kMinSampleS = 1.0;
+
+/** Campaign work unit, and the chunks each of 4 shards must get. */
+constexpr int kCampaignChunk = 32;
+constexpr int kChunksPerShard = 4;
+
+/** (max - min) / min of @p samples: how far apart the samples read. */
+double
+spreadOf(const std::vector<double> &samples)
+{
+    const auto [lo, hi] =
+        std::minmax_element(samples.begin(), samples.end());
+    return *lo > 0.0 ? (*hi - *lo) / *lo : 0.0;
+}
+
 /** One shard-count row of the campaign scaling curve. */
 struct CampaignRow
 {
     int shards = 0;
     double wall_s = std::numeric_limits<double>::infinity();
+    double spread = 0.0; ///< of the reps' wall times
     double events_per_sec = 0.0;
     std::string report; ///< deterministic aggregate JSON
+    bool ok = false;    ///< every rep ran and reported the same bytes
 };
+
+/**
+ * Run the first @p scenarios matrix scenarios as a pipe campaign over
+ * @p shards workers (each --jobs 1, so the row isolates process-level
+ * scaling), min of 2 reps.
+ */
+CampaignRow
+campaignRow(const std::string &self_exe, int shards, int scenarios,
+            int runs)
+{
+    constexpr int kCampaignReps = 2;
+    sweep::CampaignConfig ccfg;
+    ccfg.scenarios = scenarios;
+    ccfg.chunk = kCampaignChunk;
+    ccfg.shards = shards;
+    ccfg.identity = "corpus=bench scenarios=" + std::to_string(scenarios) +
+                    " runs=" + std::to_string(runs) + " chunk=" +
+                    std::to_string(kCampaignChunk) + " engine=fast";
+    ccfg.corpusSpec = ccfg.identity;
+    ccfg.workerCmd = {self_exe, "--serve", "--jobs", "1"};
+    CampaignRow row;
+    row.shards = shards;
+    std::vector<double> walls;
+    std::uint64_t events = 0;
+    for (int rep = 0; rep < kCampaignReps; ++rep) {
+        const sweep::CampaignSummary sum = sweep::runCampaign(ccfg);
+        if (sum.status != sweep::CampaignStatus::Ok) {
+            std::fprintf(stderr, "campaign (shards=%d): %s\n", shards,
+                         sum.error.c_str());
+            return row;
+        }
+        const std::string report =
+            sweep::campaignReportJson(ccfg.identity, sum.aggregate);
+        if (!row.report.empty() && row.report != report)
+            return row;
+        row.report = report;
+        walls.push_back(sum.wallSeconds);
+        events = sum.aggregate.events;
+    }
+    row.wall_s = *std::min_element(walls.begin(), walls.end());
+    row.spread = spreadOf(walls);
+    row.events_per_sec =
+        row.wall_s > 0.0 ? static_cast<double>(events) / row.wall_s : 0.0;
+    row.ok = true;
+    return row;
+}
 
 } // namespace
 
@@ -353,42 +425,48 @@ main(int argc, char **argv)
     const double serial_s = secondsSince(serial_start);
     const std::uint64_t total_events = eventsOf(serial_results);
 
-    // The timed parallel passes repeat kTimedReps times and keep the
-    // best wall time: the whole matrix finishes in fractions of a
-    // second, so a single sample is at the mercy of scheduler noise —
-    // and the gate regresses on the fast/reference *ratio*, which
-    // squares that noise. Min-of-N is the usual fix.
-    constexpr int kTimedReps = 3;
-    sweep::SweepRunner runner(jobs);
-    auto timed_pass = [&](sim::EngineMode engine, double &best_s) {
-        std::vector<verify::ScenarioResult> first;
-        best_s = std::numeric_limits<double>::infinity();
-        for (int rep = 0; rep < kTimedReps; ++rep) {
-            const auto start = Clock::now();
-            auto results = runner.map<verify::ScenarioResult>(
-                specs.size(),
-                [&](std::size_t i) { return runOne(specs[i], engine); });
-            best_s = std::min(best_s, secondsSince(start));
-            if (rep == 0)
-                first = std::move(results);
-        }
-        return first;
-    };
-
-    // --- parallel pass, Fast engine ---------------------------------
-    double parallel_s = 0.0;
-    const auto parallel_results =
-        timed_pass(sim::EngineMode::Fast, parallel_s);
-
-    // --- parallel pass, Reference engine ----------------------------
-    // Same matrix on the same pool with the pre-fast-path engine: the
-    // wall-clock ratio is the machine-normalized engine speedup the CI
+    // --- parallel passes, Fast and Reference engine -----------------
+    // Same matrix on the same pool with both engines: the ratio of
+    // their pass times is the machine-normalized engine speedup the CI
     // gate regresses against, and the checksum + event-count match is
     // the cheap always-on face of the differential contract (the
     // byte-exact version lives in tests/test_differential.cc).
-    double reference_s = 0.0;
-    const auto reference_results =
-        timed_pass(sim::EngineMode::Reference, reference_s);
+    constexpr int kSamples = 3;
+    sweep::SweepRunner runner(jobs);
+    std::vector<verify::ScenarioResult> parallel_results;
+    std::vector<verify::ScenarioResult> reference_results;
+    // One sample: passes back to back for at least kMinSampleS; reads
+    // the mean time per pass, and keeps the first pass's results.
+    auto sample = [&](sim::EngineMode engine,
+                      std::vector<verify::ScenarioResult> &keep) {
+        int passes = 0;
+        const auto start = Clock::now();
+        double elapsed = 0.0;
+        do {
+            auto results = runner.map<verify::ScenarioResult>(
+                specs.size(),
+                [&](std::size_t i) { return runOne(specs[i], engine); });
+            if (keep.empty())
+                keep = std::move(results);
+            ++passes;
+            elapsed = secondsSince(start);
+        } while (elapsed < kMinSampleS);
+        return elapsed / passes;
+    };
+    std::vector<double> fast_samples;
+    std::vector<double> reference_samples;
+    for (int i = 0; i < kSamples; ++i) {
+        fast_samples.push_back(
+            sample(sim::EngineMode::Fast, parallel_results));
+        reference_samples.push_back(
+            sample(sim::EngineMode::Reference, reference_results));
+    }
+    const double parallel_s =
+        *std::min_element(fast_samples.begin(), fast_samples.end());
+    const double reference_s = *std::min_element(
+        reference_samples.begin(), reference_samples.end());
+    const double parallel_spread = spreadOf(fast_samples);
+    const double reference_spread = spreadOf(reference_samples);
 
     const double serial_sum = checksum(serial_results);
     const bool checksum_match = serial_sum == checksum(parallel_results);
@@ -414,81 +492,61 @@ main(int argc, char **argv)
                 "events/s)\n",
                 serial_s, p50, events_per_sec(serial_s));
     std::printf("  parallel  %.3f s  (%.2f scenarios/s, %.3g events/s, "
-                "speedup %.2fx)\n",
+                "speedup %.2fx; min of %d samples, spread %.1f%%)\n",
                 parallel_s, per_sec, events_per_sec(parallel_s),
-                speedup);
+                speedup, kSamples, 100.0 * parallel_spread);
     std::printf("  reference %.3f s  (%.3g events/s, fast engine "
-                "%.2fx)\n",
+                "%.2fx; min of %d samples, spread %.1f%%)\n",
                 reference_s, events_per_sec(reference_s),
-                engine_speedup);
+                engine_speedup, kSamples, 100.0 * reference_spread);
     const sweep::SnapshotCacheStats cache_stats =
         sweep::snapshotCacheStatsNow();
 
     // --- campaign passes: process-sharded fleet scaling -------------
-    // The same matrix as a multiprocess campaign at 1/2/4 worker
-    // shards (each worker --jobs 1, so the row isolates process-level
-    // scaling). The aggregate report must be byte-identical across
-    // every shard count — the determinism contract one level above the
-    // thread pool.
+    // The matrix as a multiprocess campaign at 1/2/4 worker shards. The
+    // aggregate report must be byte-identical across every shard count
+    // — the determinism contract one level above the thread pool. The
+    // corpus gives each of 4 shards kChunksPerShard chunks, and grows
+    // until the 1-shard campaign lasts kMinSampleS.
     const std::string self_exe = sweep::selfExecutablePath(argv[0]);
-    constexpr int kCampaignShards[] = {1, 2, 4};
-    constexpr int kCampaignReps = 2;
+    const int min_scenarios = 4 * kChunksPerShard * kCampaignChunk;
+    int campaign_scenarios = std::max(scenarios, min_scenarios);
     std::vector<CampaignRow> campaign_rows;
-    bool campaign_match = true;
-    bool campaign_ran = true;
-    for (const int shards : kCampaignShards) {
-        sweep::CampaignConfig ccfg;
-        ccfg.scenarios = scenarios;
-        ccfg.chunk = 32;
-        ccfg.shards = shards;
-        ccfg.identity =
-            "corpus=bench scenarios=" + std::to_string(scenarios) +
-            " runs=" + std::to_string(runs) + " chunk=32 engine=fast";
-        ccfg.corpusSpec = ccfg.identity;
-        ccfg.workerCmd = {self_exe, "--serve", "--jobs", "1"};
-        CampaignRow row;
-        row.shards = shards;
-        std::uint64_t campaign_events = 0;
-        for (int rep = 0; rep < kCampaignReps && campaign_ran; ++rep) {
-            const sweep::CampaignSummary sum = sweep::runCampaign(ccfg);
-            if (sum.status != sweep::CampaignStatus::Ok) {
-                std::fprintf(stderr, "campaign (shards=%d): %s\n",
-                             shards, sum.error.c_str());
-                campaign_ran = false;
-                break;
-            }
-            const std::string report = sweep::campaignReportJson(
-                ccfg.identity, sum.aggregate);
-            if (row.report.empty())
-                row.report = report;
-            else if (row.report != report)
-                campaign_match = false;
-            row.wall_s = std::min(row.wall_s, sum.wallSeconds);
-            campaign_events = sum.aggregate.events;
-        }
-        if (!campaign_ran)
-            break;
-        row.events_per_sec =
-            row.wall_s > 0.0
-                ? static_cast<double>(campaign_events) / row.wall_s
-                : 0.0;
-        if (!campaign_rows.empty() &&
-            campaign_rows.front().report != row.report)
-            campaign_match = false;
-        campaign_rows.push_back(std::move(row));
-        std::printf("  campaign  shards=%d  %.3f s  (%.3g events/s)\n",
-                    shards, campaign_rows.back().wall_s,
-                    campaign_rows.back().events_per_sec);
+    CampaignRow one = campaignRow(self_exe, 1, campaign_scenarios, runs);
+    while (one.ok && one.wall_s < kMinSampleS) {
+        const double grow = 1.25 * kMinSampleS / std::max(one.wall_s, 1e-3);
+        const int chunks =
+            static_cast<int>(std::ceil(campaign_scenarios * grow /
+                                       kCampaignChunk));
+        campaign_scenarios = chunks * kCampaignChunk;
+        one = campaignRow(self_exe, 1, campaign_scenarios, runs);
     }
-    campaign_match = campaign_match && campaign_ran;
+    campaign_rows.push_back(std::move(one));
+    for (const int shards : {2, 4}) {
+        if (!campaign_rows.back().ok)
+            break;
+        campaign_rows.push_back(
+            campaignRow(self_exe, shards, campaign_scenarios, runs));
+    }
+    bool campaign_match = true;
+    for (const CampaignRow &row : campaign_rows) {
+        campaign_match = campaign_match && row.ok &&
+                         row.report == campaign_rows.front().report;
+        if (row.ok)
+            std::printf("  campaign  shards=%d  %.3f s  (%.3g events/s, "
+                        "spread %.1f%%)\n",
+                        row.shards, row.wall_s, row.events_per_sec,
+                        100.0 * row.spread);
+    }
+    campaign_match = campaign_match && campaign_rows.size() == 3;
     const double shards4_speedup =
-        campaign_rows.size() == std::size(kCampaignShards) &&
-                campaign_rows.front().events_per_sec > 0.0
+        campaign_match && campaign_rows.front().events_per_sec > 0.0
             ? campaign_rows.back().events_per_sec /
                   campaign_rows.front().events_per_sec
             : 0.0;
-    std::printf("  campaign: aggregates %s across shard counts, "
-                "4-vs-1 shard speedup %.2fx\n",
+    std::printf("  campaign: %d scenarios, aggregates %s across shard "
+                "counts, 4-vs-1 shard speedup %.2fx\n",
+                campaign_scenarios,
                 campaign_match ? "byte-identical" : "MISMATCH",
                 shards4_speedup);
 
@@ -526,8 +584,10 @@ main(int argc, char **argv)
         const double floor = baseline * 0.9;
         gate_ok = engine_speedup >= floor;
         std::printf("  gate: engine speedup %.2fx vs baseline %.2fx "
-                    "(floor %.2fx) -> %s\n",
+                    "(floor %.2fx; spread fast %.1f%%, reference "
+                    "%.1f%%) -> %s\n",
                     engine_speedup, baseline, floor,
+                    100.0 * parallel_spread, 100.0 * reference_spread,
                     gate_ok ? "ok" : "REGRESSION");
 
         // Warm-up memoization must actually engage: a matrix this
@@ -546,8 +606,11 @@ main(int argc, char **argv)
         if (std::thread::hardware_concurrency() >= 4) {
             const bool scaling_ok = shards4_speedup > 1.5;
             std::printf("  gate: campaign 4-vs-1 shard speedup %.2fx "
-                        "(floor 1.50x) -> %s\n",
+                        "(floor 1.50x; spread 1 shard %.1f%%, 4 shards "
+                        "%.1f%%) -> %s\n",
                         shards4_speedup,
+                        100.0 * campaign_rows.front().spread,
+                        100.0 * campaign_rows.back().spread,
                         scaling_ok ? "ok" : "REGRESSION");
             gate_ok = gate_ok && scaling_ok;
         } else {
@@ -570,8 +633,12 @@ main(int argc, char **argv)
     out << "  \"serial_s\": " << buf << ",\n";
     std::snprintf(buf, sizeof(buf), "%.6f", parallel_s);
     out << "  \"parallel_s\": " << buf << ",\n";
+    std::snprintf(buf, sizeof(buf), "%.3f", parallel_spread);
+    out << "  \"parallel_spread\": " << buf << ",\n";
     std::snprintf(buf, sizeof(buf), "%.6f", reference_s);
     out << "  \"reference_parallel_s\": " << buf << ",\n";
+    std::snprintf(buf, sizeof(buf), "%.3f", reference_spread);
+    out << "  \"reference_parallel_spread\": " << buf << ",\n";
     std::snprintf(buf, sizeof(buf), "%.3f", speedup);
     out << "  \"speedup\": " << buf << ",\n";
     std::snprintf(buf, sizeof(buf), "%.3f", engine_speedup);
@@ -608,7 +675,8 @@ main(int argc, char **argv)
     // Per-shard-count campaign rows: the fleet-scaling curve.
     out << "  \"campaign\": {\n"
         << "    \"transport\": \"pipe\",\n"
-        << "    \"chunk\": 32,\n"
+        << "    \"scenarios\": " << campaign_scenarios << ",\n"
+        << "    \"chunk\": " << kCampaignChunk << ",\n"
         << "    \"byte_identical_across_shards\": "
         << (campaign_match ? "true" : "false") << ",\n";
     std::snprintf(buf, sizeof(buf), "%.3f", shards4_speedup);
@@ -619,6 +687,8 @@ main(int argc, char **argv)
         std::snprintf(buf, sizeof(buf), "%.6f", row.wall_s);
         out << "      {\"shards\": " << row.shards
             << ", \"wall_s\": " << buf;
+        std::snprintf(buf, sizeof(buf), "%.3f", row.spread);
+        out << ", \"spread\": " << buf;
         std::snprintf(buf, sizeof(buf), "%.1f", row.events_per_sec);
         out << ", \"events_per_sec\": " << buf << "}"
             << (i + 1 < campaign_rows.size() ? "," : "") << "\n";

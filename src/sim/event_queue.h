@@ -3,12 +3,14 @@
  * Priority event queue for the discrete-event simulator.
  *
  * Hot-path layout: the heap holds small POD entries (timestamp, FIFO
- * sequence, slot reference) in an implicit d-ary heap, while callbacks
- * live in a slot arena recycled through a free list. Cancellation is
- * generation-counted — an EventId encodes (slot, generation), so a
- * cancel is O(1), a cancel of an already-fired (or doubly-cancelled)
- * event is a true no-op, and bookkeeping is bounded by the number of
- * pending entries rather than growing with the lifetime of the queue.
+ * sequence, callback slot) in an implicit d-ary heap, while callbacks
+ * live in slots carved from fixed-size blocks and recycled through a
+ * free list. A block never moves once allocated, so a callback is
+ * built directly in its slot by schedule() and runs there: a callback
+ * may schedule any number of events, growing new blocks, while it
+ * runs, and its slot returns to the free list only after it returns.
+ * Events are never cancelled, so every stored entry is live and the
+ * queue's bookkeeping is bounded by the peak number of pending events.
  *
  * The Fast engine (sim/engine_mode.h) adds a one-slot *front cache* in
  * front of the heap, invisible to pop order. It holds the single
@@ -27,7 +29,11 @@
 #ifndef AITAX_SIM_EVENT_QUEUE_H
 #define AITAX_SIM_EVENT_QUEUE_H
 
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/audit.h"
@@ -38,13 +44,13 @@
 namespace aitax::sim {
 
 /**
- * Handle used to cancel a scheduled event.
- *
- * Encodes (generation << 32 | slot); 0 is never a valid id. Ids are
- * unique per live event — once an event fires or is cancelled its
- * slot's generation advances, so stale handles are rejected.
+ * What schedule() accepts: any callable an EventFn can hold, or an
+ * rvalue EventFn. An lvalue EventFn is refused, since it is move-only.
  */
-using EventId = std::uint64_t;
+template <typename F>
+concept EventCallable = requires(EventFn &slot, F &&fn) {
+    slot.emplace(std::forward<F>(fn));
+};
 
 /**
  * Time-ordered queue of callbacks.
@@ -66,8 +72,15 @@ class EventQueue
         return fast_ ? EngineMode::Fast : EngineMode::Reference;
     }
 
-    /** Schedule @p fn to fire at absolute time @p when. */
-    EventId schedule(TimeNs when, EventFn &&fn);
+    /** Schedule @p fn, built in its slot, to fire at time @p when. */
+    template <EventCallable F>
+    void
+    schedule(TimeNs when, F &&fn)
+    {
+        EventFn *slot = allocSlot();
+        slot->emplace(std::forward<F>(fn));
+        insertEntry(HeapEntry{when, nextSeq++, slot});
+    }
 
     /**
      * Reserve @p n consecutive FIFO sequence numbers and return the
@@ -92,46 +105,67 @@ class EventQueue
      * fed back in increasing order per timestamp (the tie auditor
      * catches violations at pop time).
      */
-    EventId scheduleWithSeq(TimeNs when, std::uint64_t seq, EventFn &&fn);
+    template <EventCallable F>
+    void
+    scheduleWithSeq(TimeNs when, std::uint64_t seq, F &&fn)
+    {
+        assert(seq < nextSeq && "seq must come from reserveSeqs()");
+        EventFn *slot = allocSlot();
+        slot->emplace(std::forward<F>(fn));
+        insertEntry(HeapEntry{when, seq, slot});
+    }
 
-    /** Cancel a pending event. Cancelling a fired event is a no-op. */
-    void cancel(EventId id);
+    /** True if no events are pending. */
+    bool empty() const { return !hasFront_ && heap.empty(); }
 
-    /** True if no live events remain. */
-    bool empty() const { return liveCount == 0; }
+    /** Number of pending events. */
+    std::size_t size() const { return heapEntries(); }
 
-    /** Number of live (non-cancelled, unfired) events. */
-    std::size_t size() const { return liveCount; }
-
-    /** Timestamp of the next live event. Queue must not be empty. */
-    TimeNs nextTime() const;
+    /** Timestamp of the next event. Queue must not be empty. */
+    TimeNs
+    nextTime() const
+    {
+        assert(!empty());
+        return hasFront_ ? front_.when : heap.front().when;
+    }
 
     /**
-     * Pop and run the next live event.
+     * Pop and run the next event.
      * @return the timestamp the event fired at.
      */
-    TimeNs popAndRun();
+    TimeNs
+    popAndRun()
+    {
+        TimeNs when = 0;
+        return runNext(when);
+    }
 
     /**
-     * Fused skip-ahead pop for the Fast engine's inner loop: one stale
-     * sweep, one top read, and @p now is advanced to the event's
-     * timestamp *before* the callback runs (so now() observed inside
-     * the callback is the event's own time). Semantically identical to
+     * Fused skip-ahead pop for the Fast engine's inner loop: one head
+     * read, and @p now is advanced to the event's timestamp *before*
+     * the callback runs (so now() observed inside the callback is the
+     * event's own time). Semantically identical to
      * `now = nextTime(); popAndRun();` without the double head work.
      * @return the timestamp the event fired at.
      */
-    TimeNs runNext(TimeNs &now);
+    TimeNs
+    runNext(TimeNs &now)
+    {
+        const HeapEntry top = takeNext();
+        now = top.when;
+        run(top.fn);
+        return top.when;
+    }
 
     // --- bookkeeping introspection (tests, leak accounting) ----------
 
-    /** Callback slots ever allocated = peak concurrent pending events. */
-    std::size_t slotCapacity() const { return slots.size(); }
-
     /**
-     * Heap entries currently stored, including lazily-dropped stale
-     * ones and the one parked in the front cache. Compaction keeps
-     * this O(size()).
+     * Callback slots ever handed out: the peak number of pending
+     * events plus running callbacks.
      */
+    std::size_t slotCapacity() const { return slotCount_; }
+
+    /** Entries stored in the heap plus the one in the front cache. */
     std::size_t
     heapEntries() const
     {
@@ -181,31 +215,33 @@ class EventQueue
     void debugSetNextSeq(std::uint64_t seq) { nextSeq = seq; }
 
   private:
-    /** POD heap node; callbacks live in the slot arena. */
+    /** POD heap node; the callback lives in the slot it points to. */
     struct HeapEntry
     {
         TimeNs when;
         std::uint64_t seq;
-        std::uint32_t slot;
-        std::uint32_t gen;
+        EventFn *fn;
     };
 
-    struct Slot
+    /** Slots per block: 64 slots of 64 bytes, 4 KiB. */
+    static constexpr std::size_t kBlockSlots = 64;
+
+    struct SlotBlock
     {
-        EventFn fn;
-        std::uint32_t gen = 1;
-        bool live = false;
+        EventFn slots[kBlockSlots];
     };
 
     /** Heap arity; 4-ary trades deeper fanout for fewer cache lines. */
     static constexpr std::size_t kArity = 4;
 
     std::vector<HeapEntry> heap;
-    std::vector<Slot> slots;
-    std::vector<std::uint32_t> freeSlots;
+    /** Slot storage; a block's address is fixed for its lifetime. */
+    std::vector<std::unique_ptr<SlotBlock>> blocks_;
+    std::size_t slotCount_ = 0;
+    /** Empty slots ready for reuse, most recently freed last. */
+    std::vector<EventFn *> freeSlots_;
     std::uint64_t nextSeq = 0;
-    std::size_t liveCount = 0;
-    // Tie-auditor state: last popped (when, seq); see popAndRun().
+    // Tie-auditor state: last popped (when, seq); see takeNext().
     TimeNs lastPoppedWhen = 0;
     std::uint64_t lastPoppedSeq = 0;
     bool poppedAny = false;
@@ -224,26 +260,98 @@ class EventQueue
         return a.seq < b.seq;
     }
 
-    /** True if the entry refers to a fired/cancelled/reused slot. */
-    bool
-    stale(const HeapEntry &e) const
+    EventFn *
+    allocSlot()
     {
-        const Slot &s = slots[e.slot];
-        return !s.live || s.gen != e.gen;
+        if (freeSlots_.empty())
+            return newSlot();
+        EventFn *slot = freeSlots_.back();
+        freeSlots_.pop_back();
+        return slot;
     }
 
-    std::uint32_t allocSlot();
-    void freeSlot(std::uint32_t slot);
+    /** Hand out a never-used slot, growing a block when all are used. */
+    EventFn *newSlot();
+
+    /** Run the callback in its slot, then recycle the slot. */
+    void
+    run(EventFn *slot)
+    {
+        (*slot)();
+        slot->reset();
+        freeSlots_.push_back(slot);
+    }
+
     void siftUp(std::size_t i);
     void siftDown(std::size_t i);
-    void popHeapTop();
-    void dropStaleHead();
-    /** Rebuild the heap without stale entries when they dominate. */
-    void compact();
+
+    void
+    popHeapTop()
+    {
+        heap.front() = heap.back();
+        heap.pop_back();
+        if (!heap.empty())
+            siftDown(0);
+    }
+
     /** Place an entry into front cache or heap (invariant-preserving). */
-    void insertEntry(const HeapEntry &e);
-    /** Remove and return the next live entry; audits (when, seq). */
-    HeapEntry takeNext();
+    void
+    insertEntry(const HeapEntry &e)
+    {
+        if (fast_) {
+            if (hasFront_) {
+                if (before(e, front_)) {
+                    // Demote the cached front; the new entry is even
+                    // earlier.
+                    heap.push_back(front_);
+                    siftUp(heap.size() - 1);
+                    front_ = e;
+                    return;
+                }
+            } else if (heap.empty() || before(e, heap.front())) {
+                // The heap top is its minimum, so an entry ordering
+                // before it orders before every heap entry — exactly
+                // the front-cache invariant.
+                front_ = e;
+                hasFront_ = true;
+                return;
+            }
+        }
+        heap.push_back(e);
+        siftUp(heap.size() - 1);
+    }
+
+    /** Remove and return the next entry; audits (when, seq). */
+    HeapEntry
+    takeNext()
+    {
+        HeapEntry top;
+        if (hasFront_) {
+            top = front_;
+            hasFront_ = false;
+            ++frontHits_;
+        } else {
+            assert(!heap.empty());
+            top = heap.front();
+            popHeapTop();
+        }
+        // Tie auditor: pops must leave in strictly increasing
+        // (when, seq) order — the seq tie-break is what makes
+        // same-timestamp ties deterministic, so a non-increasing pop
+        // means a seq collision or a corrupted heap. Two integer
+        // compares; always on.
+        if (poppedAny &&
+            (top.when < lastPoppedWhen ||
+             (top.when == lastPoppedWhen && top.seq <= lastPoppedSeq)))
+            auditFail("EventQueue tie auditor",
+                      "event popped out of (timestamp, seq) order: a "
+                      "same-timestamp tie is not fixed by the seq "
+                      "tie-break");
+        poppedAny = true;
+        lastPoppedWhen = top.when;
+        lastPoppedSeq = top.seq;
+        return top;
+    }
 };
 
 } // namespace aitax::sim

@@ -16,6 +16,7 @@
 #ifndef AITAX_SIM_INLINE_FUNCTION_H
 #define AITAX_SIM_INLINE_FUNCTION_H
 
+#include <cassert>
 #include <cstddef>
 #include <cstring>
 #include <memory>
@@ -54,21 +55,7 @@ class InlineFunction<R(Args...)>
                                        Args...>)
     InlineFunction(F &&f) // NOLINT: implicit by design, mirrors std::function
     {
-        // InlineFunction *is* the sanctioned owner of placement-new
-        // here: the whole point of this class is keeping the hot path
-        // free of the heap, and the oversized-callable fallback is the
-        // one deliberate allocation.
-        using Fn = std::remove_cvref_t<F>;
-        if constexpr (sizeof(Fn) <= kInlineSize &&
-                      alignof(Fn) <= alignof(std::max_align_t)) {
-            // aitax-lint: allow(raw-new-delete)
-            ::new (static_cast<void *>(buf)) Fn(std::forward<F>(f));
-            ops = &inlineOps<Fn>;
-        } else {
-            ::new (static_cast<void *>(buf))  // aitax-lint: allow(raw-new-delete)
-                Fn *(new Fn(std::forward<F>(f))); // aitax-lint: allow(raw-new-delete)
-            ops = &heapOps<Fn>;
-        }
+        construct(std::forward<F>(f));
     }
 
     InlineFunction(InlineFunction &&other) noexcept { moveFrom(other); }
@@ -96,6 +83,25 @@ class InlineFunction<R(Args...)>
         return ops->invoke(buf, std::forward<Args>(args)...);
     }
 
+    /**
+     * Build @p f in this empty InlineFunction: a callable is constructed
+     * in place, with no temporary to relocate; an rvalue InlineFunction
+     * is moved in. An lvalue InlineFunction is refused at compile time,
+     * since it is move-only.
+     */
+    template <typename F>
+        requires(std::is_same_v<F, InlineFunction> ||
+                 std::is_constructible_v<InlineFunction, F>)
+    void
+    emplace(F &&f)
+    {
+        assert(ops == nullptr && "emplace into a held InlineFunction");
+        if constexpr (std::is_same_v<F, InlineFunction>)
+            moveFrom(f);
+        else
+            construct(std::forward<F>(f));
+    }
+
     /** Destroy the held callable, leaving the InlineFunction empty. */
     void
     reset() noexcept
@@ -108,6 +114,27 @@ class InlineFunction<R(Args...)>
     }
 
   private:
+    template <typename F>
+    void
+    construct(F &&f)
+    {
+        // InlineFunction *is* the sanctioned owner of placement-new
+        // here: the whole point of this class is keeping the hot path
+        // free of the heap, and the oversized-callable fallback is the
+        // one deliberate allocation.
+        using Fn = std::remove_cvref_t<F>;
+        if constexpr (sizeof(Fn) <= kInlineSize &&
+                      alignof(Fn) <= alignof(std::max_align_t)) {
+            // aitax-lint: allow(raw-new-delete)
+            ::new (static_cast<void *>(buf)) Fn(std::forward<F>(f));
+            ops = &inlineOps<Fn>;
+        } else {
+            ::new (static_cast<void *>(buf))  // aitax-lint: allow(raw-new-delete)
+                Fn *(new Fn(std::forward<F>(f))); // aitax-lint: allow(raw-new-delete)
+            ops = &heapOps<Fn>;
+        }
+    }
+
     struct Ops
     {
         R (*invoke)(void *, Args &&...);

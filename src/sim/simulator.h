@@ -49,24 +49,29 @@ class Simulator
     /** Current virtual time. */
     TimeNs now() const { return nowNs; }
 
-    /** Schedule @p fn to run @p delay ns from now. Negative clamps to 0. */
-    EventId
-    scheduleIn(DurationNs delay, EventFn fn)
+    /**
+     * Schedule @p fn to run @p delay ns from now. Negative clamps to 0.
+     * The callable is built in its queue slot (EventQueue::schedule).
+     */
+    template <EventCallable F>
+    void
+    scheduleIn(DurationNs delay, F &&fn)
     {
         AITAX_AUDIT_OWNER(owner_, "Simulator");
         if (delay < 0)
             delay = 0;
-        return queue.schedule(nowNs + delay, std::move(fn));
+        queue.schedule(nowNs + delay, std::forward<F>(fn));
     }
 
     /** Schedule @p fn at absolute time @p when (>= now). */
-    EventId
-    scheduleAt(TimeNs when, EventFn fn)
+    template <EventCallable F>
+    void
+    scheduleAt(TimeNs when, F &&fn)
     {
         AITAX_AUDIT_OWNER(owner_, "Simulator");
         if (when < nowNs)
             when = nowNs;
-        return queue.schedule(when, std::move(fn));
+        queue.schedule(when, std::forward<F>(fn));
     }
 
     /**
@@ -79,21 +84,14 @@ class Simulator
     }
 
     /** Schedule at @p when (>= now) with a reserved seq number. */
-    EventId
-    scheduleAtSeq(TimeNs when, std::uint64_t seq, EventFn fn)
+    template <EventCallable F>
+    void
+    scheduleAtSeq(TimeNs when, std::uint64_t seq, F &&fn)
     {
         AITAX_AUDIT_OWNER(owner_, "Simulator");
         if (when < nowNs)
             when = nowNs;
-        return queue.scheduleWithSeq(when, seq, std::move(fn));
-    }
-
-    /** Cancel a previously scheduled event. */
-    void
-    cancel(EventId id)
-    {
-        AITAX_AUDIT_OWNER(owner_, "Simulator");
-        queue.cancel(id);
+        queue.scheduleWithSeq(when, seq, std::forward<F>(fn));
     }
 
     /** True if no events are pending. */
@@ -133,7 +131,7 @@ class Simulator
     /** Number of events executed so far (for tests/diagnostics). */
     std::uint64_t eventsExecuted() const { return executed; }
 
-    /** Number of live (not cancelled) pending events. */
+    /** Number of pending events. */
     std::size_t pendingEvents() const { return queue.size(); }
 
     /** Pops served by the queue's front cache (Fast engine only). */

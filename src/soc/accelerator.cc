@@ -51,7 +51,7 @@ Accelerator::Accelerator(sim::Simulator &sim, AcceleratorConfig cfg,
                          trace::Tracer &tracer, EnergyMeter *energy,
                          MemoryFabric *fabric)
     : sim(sim), cfg(std::move(cfg)), tracer(tracer), energy(energy),
-      fabric(fabric), completions_(sim, 1)
+      fabric(fabric)
 {
     validateAcceleratorConfig(this->cfg);
     track_ = tracer.internTrack(this->cfg.name);
@@ -137,7 +137,7 @@ Accelerator::startNext()
         }
     }
 
-    completions_.push(0, sim.now() + duration, [this, start, killed] {
+    sim.scheduleIn(duration, [this, start, killed] {
         const sim::TimeNs now = sim.now();
         if (current_.label.valid())
             tracer.recordInterval(track_, current_.label, start, now);

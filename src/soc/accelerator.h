@@ -10,7 +10,8 @@
  * A job carries its trace label, not a name, and an inline completion
  * callback; the server keeps its one in-flight job as a member and
  * queues the rest in a reused ring, so a submission allocates nothing
- * once the ring has reached its depth.
+ * once the ring has reached its depth. With one job on the device, its
+ * completion is one plain simulator event, scheduled at dispatch.
  */
 
 #ifndef AITAX_SOC_ACCELERATOR_H
@@ -21,7 +22,6 @@
 
 #include "faults/injector.h"
 #include "sim/inline_function.h"
-#include "sim/local_queue.h"
 #include "sim/ring_queue.h"
 #include "sim/simulator.h"
 #include "soc/energy.h"
@@ -114,13 +114,6 @@ class Accelerator
     EnergyMeter *energy;
     MemoryFabric *fabric;
     faults::FaultInjector *faults_ = nullptr;
-    /**
-     * Completion events route through a single-stream LocalEventQueue:
-     * one completion in flight at a time (FIFO server), so exactly one
-     * entry is ever resident in the global heap, and the seq reserved
-     * at push time matches what a direct schedule() would have used.
-     */
-    sim::LocalEventQueue completions_;
     sim::RingQueue<AccelJob> queue;
     /** The job on the device; valid while busy_. */
     AccelJob current_;

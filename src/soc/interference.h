@@ -8,24 +8,24 @@
  * distributions of Fig 11 (run-to-run variability) in contrast to the
  * tight benchmark-mode distributions.
  *
- * Arrivals flow through a sim::LocalEventQueue with one FIFO stream
- * per source (UI ticks, daemons). The Reference engine pre-schedules
- * every arrival into the global heap — thousands of entries that keep
- * the 4-ary heap deep for the entire run (profiling showed heap sift
- * work at ~50% of sweep time). The Fast engine parks arrivals locally
- * and keeps only the component's earliest entry resident in the heap;
- * every arrival still carries the exact (when, seq) pair the Reference
- * engine would have assigned (seqs are reserved at push time), so pop
- * order — and thus every trace byte and RNG draw — is unchanged.
+ * start() fixes every arrival up front: a UI tick every period, the
+ * daemon times drawn from their gaps, and one reserved FIFO seq band
+ * per source, so each arrival's (when, seq) pair is known before any
+ * fires. The Reference engine schedules them all at once, keeping the
+ * event heap deep for the whole run. The Fast engine chains them:
+ * one arrival is pending at a time, and each one, before it submits
+ * its task, schedules the earlier of the next UI tick and the next
+ * daemon arrival. Pop order, and thus every trace byte and RNG draw,
+ * is the same on both engines; the differential tier compares them.
  */
 
 #ifndef AITAX_SOC_INTERFERENCE_H
 #define AITAX_SOC_INTERFERENCE_H
 
 #include <cstdint>
+#include <vector>
 
 #include "sim/arena.h"
-#include "sim/local_queue.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "soc/scheduler.h"
@@ -64,27 +64,44 @@ class InterferenceGenerator
                           trace::Tracer *tracer = nullptr,
                           sim::Arena *arena = nullptr);
 
-    /** Schedule interference task arrivals up to @p horizon. */
+    /**
+     * Schedule interference task arrivals up to @p horizon. Runs once
+     * per generator.
+     */
     void start(sim::TimeNs horizon);
 
     std::int64_t tasksInjected() const { return injected; }
 
   private:
-    /** LocalEventQueue stream per arrival source. */
-    static constexpr std::size_t kUiStream = 0;
-    static constexpr std::size_t kDaemonStream = 1;
-    static constexpr std::size_t kStreamCount = 2;
-
     sim::Simulator &sim;
     OsScheduler &sched;
     InterferenceConfig cfg;
     sim::RandomStream rng;
     sim::Arena *arena_;
-    sim::LocalEventQueue queue_;
     std::int64_t injected = 0;
     trace::LabelId uiLabel_;
     trace::LabelId daemonLabel_;
+    bool started_ = false;
+    /** UI tick k = 0, 1, ... fires at (k + 1) periods, seq uiSeq_ + k. */
+    std::uint64_t uiTicks_ = 0;
+    std::uint64_t uiSeq_ = 0;
+    /** Daemon arrival j is at daemonAt_[j] with seq daemonSeq_ + j. */
+    std::vector<sim::TimeNs, sim::ArenaAllocator<sim::TimeNs>> daemonAt_;
+    std::uint64_t daemonSeq_ = 0;
+    /** Fast engine: the first UI tick and daemon arrival not chained. */
+    std::uint64_t nextUi_ = 0;
+    std::size_t nextDaemon_ = 0;
 
+    sim::TimeNs
+    uiTickAt(std::uint64_t k) const
+    {
+        return static_cast<sim::TimeNs>(k + 1) * cfg.uiPeriodNs;
+    }
+
+    /** Schedule the earlier unchained arrival by (when, seq), if any. */
+    void chainNext();
+    /** Submit the task of a UI tick (@p ui) or a daemon arrival. */
+    void arrive(bool ui);
     void submitTask(const char *name, trace::LabelId label,
                     double mean_ops, bool background);
 };

@@ -419,13 +419,14 @@ TEST(Differential, ArenaReusedAcrossBackToBackRuns)
 }
 
 /**
- * Component-local queues under fault pressure: AndroidApp mode drives
- * both interference streams and accelerator completions through
- * LocalEventQueue, and faults add watchdog kills, retries and fallback
- * rescheduling on top. The lazily-fed heap must preserve exact
- * (when, seq) tie order through all of it.
+ * Interference arrivals under fault pressure: in AndroidApp mode the
+ * Fast engine chains UI ticks and daemon arrivals one at a time over
+ * their reserved seq bands, while the Reference engine schedules every
+ * arrival up front, and faults add watchdog kills, retries and
+ * fallback rescheduling on top. The two arrival forms must pop in the
+ * exact same (when, seq) order through all of it.
  */
-TEST(Differential, LocalQueueTieOrderingUnderFaults)
+TEST(Differential, ChainedArrivalsMatchUpFrontArrivalsUnderFaults)
 {
     for (int i = 0; i < 8; ++i) {
         Scenario s = fuzzScenario(kMasterSeed ^ 0xF00Du, i);

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -205,37 +206,6 @@ TEST(EventQueue, TiesAreFifo)
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(EventQueue, CancelPreventsExecution)
-{
-    EventQueue q;
-    bool fired = false;
-    const EventId id = q.schedule(10, [&] { fired = true; });
-    q.schedule(20, [] {});
-    q.cancel(id);
-    EXPECT_EQ(q.size(), 1u);
-    while (!q.empty())
-        q.popAndRun();
-    EXPECT_FALSE(fired);
-}
-
-TEST(EventQueue, CancelUnknownIdIsNoop)
-{
-    EventQueue q;
-    q.schedule(10, [] {});
-    q.cancel(9999);
-    q.cancel(0);
-    EXPECT_EQ(q.size(), 1u);
-}
-
-TEST(EventQueue, NextTimeSkipsCancelled)
-{
-    EventQueue q;
-    const EventId id = q.schedule(10, [] {});
-    q.schedule(20, [] {});
-    q.cancel(id);
-    EXPECT_EQ(q.nextTime(), 20);
-}
-
 TEST(EventQueue, ScheduleDuringRun)
 {
     EventQueue q;
@@ -264,94 +234,108 @@ TEST(EventQueue, RandomizedOrderingProperty)
     EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
 }
 
-TEST(EventQueue, RandomCancellationsNeverFire)
-{
-    RandomStream rng(7);
-    EventQueue q;
-    int fired = 0;
-    std::vector<EventId> ids;
-    for (int i = 0; i < 200; ++i)
-        ids.push_back(
-            q.schedule(rng.uniformInt(0, 100), [&] { ++fired; }));
-    int cancelled = 0;
-    for (std::size_t i = 0; i < ids.size(); i += 3) {
-        q.cancel(ids[i]);
-        ++cancelled;
-    }
-    while (!q.empty())
-        q.popAndRun();
-    EXPECT_EQ(fired, 200 - cancelled);
-}
-
-TEST(EventQueue, CancelAfterFireIsNoopAcrossSlotReuse)
-{
-    EventQueue q;
-    int fired = 0;
-    const EventId stale = q.schedule(10, [&] { ++fired; });
-    q.popAndRun();
-    // The freed slot is recycled by the next schedule with a bumped
-    // generation; the stale id must not cancel the new occupant.
-    q.schedule(20, [&] { ++fired; });
-    q.cancel(stale);
-    EXPECT_EQ(q.size(), 1u);
-    q.popAndRun();
-    EXPECT_EQ(fired, 2);
-    q.cancel(stale);
-    EXPECT_TRUE(q.empty());
-}
-
 TEST(EventQueue, BookkeepingStaysBoundedOverMillionEvents)
 {
-    // Regression: the queue once kept every cancelled id in a tombstone
-    // set forever, so a cancel of an already-fired event leaked for the
-    // lifetime of the queue. Bookkeeping must track the *pending*
-    // population, not the total event count.
+    // Bookkeeping must track the *pending* population, not the total
+    // event count: a slot that is never recycled, or a heap that keeps
+    // fired entries, grows with the lifetime of the queue.
     EventQueue q;
     constexpr int kEvents = 1'000'000;
     std::int64_t fired = 0;
-    std::vector<EventId> retired;
     TimeNs t = 0;
     for (int i = 0; i < kEvents; ++i) {
-        const EventId id = q.schedule(++t, [&] { ++fired; });
-        if (i % 2 == 0)
-            q.cancel(id);
-        else
+        q.schedule(++t, [&] { ++fired; });
+        if (i % 3 == 0)
+            q.schedule(++t, [&] { ++fired; });
+        while (q.size() > (i % 2 == 0 ? 1u : 0u))
             q.popAndRun();
-        retired.push_back(id);
-        // The historic leak path: cancelling ids that already fired or
-        // were already cancelled must not grow any bookkeeping.
-        if (i % 7 == 0)
-            q.cancel(retired[retired.size() / 2]);
-        if (retired.size() > 64)
-            retired.erase(retired.begin(), retired.begin() + 32);
     }
+    while (!q.empty())
+        q.popAndRun();
     EXPECT_EQ(q.size(), 0u);
-    EXPECT_EQ(fired, kEvents / 2);
-    // Peak concurrent pending population was ~1, so the slot arena and
-    // heap storage must be tiny after a million schedule/retire cycles.
+    EXPECT_EQ(fired, kEvents + (kEvents + 2) / 3);
+    // Peak concurrent pending population was 3, so the slot storage and
+    // heap must be tiny after a million schedule/pop cycles.
     EXPECT_LE(q.slotCapacity(), 16u);
     EXPECT_LE(q.heapEntries(), 2 * q.size() + 64);
 }
 
-TEST(EventQueue, CancelHeavyLoadCompactsHeap)
+TEST(EventQueue, CallbackRunsInPlaceWhileScheduleGrowsSlotBlocks)
+{
+    // A callback runs in its slot. While it runs it schedules enough
+    // events to force several new slot blocks, then reads and writes
+    // its own captures: a slot freed or moved under a running
+    // callback is a use-after-free the ASan+UBSan job reports.
+    for (const EngineMode mode : {EngineMode::Fast, EngineMode::Reference}) {
+        EventQueue q(mode);
+        constexpr int kFanout = 3 * 64 + 7; // > 3 blocks of 64 slots
+        std::vector<std::pair<TimeNs, int>> order;
+        std::vector<int> tags;
+        q.schedule(5, [&q, &order, &tags, base = 1000, stamp = 0]() mutable {
+            for (int i = 0; i < kFanout; ++i) {
+                // Later ones first in time; equal times keep FIFO order.
+                const TimeNs when = 100 + (kFanout - i) / 2;
+                q.schedule(when, [&order, when, i] {
+                    order.emplace_back(when, i);
+                });
+                stamp += base + i;
+            }
+            tags.push_back(base);
+            tags.push_back(stamp);
+            base = -1;
+            stamp = 0;
+            tags.push_back(base);
+            tags.push_back(stamp);
+        });
+        EXPECT_EQ(q.popAndRun(), 5);
+        std::int64_t expected_stamp = 0;
+        for (int i = 0; i < kFanout; ++i)
+            expected_stamp += 1000 + i;
+        ASSERT_EQ(tags.size(), 4u);
+        EXPECT_EQ(tags[0], 1000);
+        EXPECT_EQ(tags[1], expected_stamp);
+        EXPECT_EQ(tags[2], -1);
+        EXPECT_EQ(tags[3], 0);
+        EXPECT_GE(q.slotCapacity(), static_cast<std::size_t>(kFanout));
+        EXPECT_EQ(q.size(), static_cast<std::size_t>(kFanout));
+        while (!q.empty())
+            q.popAndRun();
+        ASSERT_EQ(order.size(), static_cast<std::size_t>(kFanout));
+        for (std::size_t k = 1; k < order.size(); ++k) {
+            const auto &a = order[k - 1];
+            const auto &b = order[k];
+            // Time order; FIFO (schedule order, i.e. index) among ties.
+            EXPECT_TRUE(a.first < b.first ||
+                        (a.first == b.first && a.second < b.second))
+                << engineModeName(mode) << " at " << k;
+        }
+    }
+}
+
+// schedule() builds the callable in its slot; an lvalue EventFn is
+// refused at compile time, since it is move-only, and an rvalue one is
+// moved in.
+static_assert(EventCallable<EventFn>);
+static_assert(!EventCallable<EventFn &>);
+static_assert(!EventCallable<const EventFn &>);
+static_assert(EventCallable<void (*)()>);
+static_assert(!EventCallable<int>);
+template <typename F>
+concept SimulatorSchedules = requires(Simulator &sim, F &&fn) {
+    sim.scheduleIn(1, std::forward<F>(fn));
+};
+static_assert(SimulatorSchedules<EventFn>);
+static_assert(!SimulatorSchedules<EventFn &>);
+
+TEST(EventQueue, RvalueEventFnIsMovedIntoItsSlot)
 {
     EventQueue q;
-    std::vector<EventId> ids;
-    for (int i = 0; i < 100'000; ++i)
-        ids.push_back(q.schedule(i, [] {}));
-    for (std::size_t i = 0; i < ids.size(); ++i)
-        if (i % 100 != 0)
-            q.cancel(ids[i]);
-    EXPECT_EQ(q.size(), 1000u);
-    // Lazily-dropped stale entries are compacted away once they
-    // dominate; storage stays O(live).
-    EXPECT_LE(q.heapEntries(), 2 * q.size() + 64);
-    TimeNs last = -1;
-    while (!q.empty()) {
-        const TimeNs now = q.popAndRun();
-        EXPECT_GT(now, last);
-        last = now;
-    }
+    int fired = 0;
+    EventFn fn([&fired] { ++fired; });
+    q.schedule(1, std::move(fn));
+    EXPECT_FALSE(fn);
+    q.popAndRun();
+    EXPECT_EQ(fired, 1);
 }
 
 // --- Simulator -------------------------------------------------------
@@ -421,16 +405,6 @@ TEST(Simulator, RunUntilConditionStops)
         sim.scheduleAt(t, [&] { ++fired; });
     sim.runUntilCondition([&] { return fired >= 3; });
     EXPECT_EQ(fired, 3);
-}
-
-TEST(Simulator, CancelledEventDoesNotFire)
-{
-    Simulator sim;
-    bool fired = false;
-    const EventId id = sim.scheduleIn(10, [&] { fired = true; });
-    sim.cancel(id);
-    sim.run();
-    EXPECT_FALSE(fired);
 }
 
 TEST(Simulator, EventCountTracks)

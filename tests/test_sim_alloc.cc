@@ -7,9 +7,9 @@
  * guarantees PR 7 documents in docs/PERFORMANCE.md:
  *
  *  1. The steady-state event loop is allocation-free: once the event
- *     queue's slot arena and the local queues' FIFO buffers have grown
- *     to capacity, scheduling and firing inline-capture events touches
- *     the heap zero times, in both engine modes.
+ *     queue's slot blocks have grown to capacity, scheduling and
+ *     firing inline-capture events touches the heap zero times, in
+ *     both engine modes.
  *
  *  2. A scenario run draws all of its run state from one arena block:
  *     after a warm-up run has established the high-water mark and
@@ -24,7 +24,8 @@
  *     program and running its offloads (GPU jobs, FastRPC calls to the
  *     DSP, CPU thread pools, background inference loops) touches the
  *     heap zero times, so a whole scenario allocates as often at 40
- *     runs as at 10.
+ *     runs as at 10. In app modes that includes the interference
+ *     arrivals, whose daemon times live in the run's arena.
  *
  * This lives in its own test binary so the operator new override
  * cannot perturb other suites.
@@ -37,7 +38,6 @@
 #include <new>
 
 #include "sim/arena.h"
-#include "sim/local_queue.h"
 #include "sim/simulator.h"
 #include "soc/chipsets.h"
 #include "soc/system.h"
@@ -158,36 +158,6 @@ TEST(SimAlloc, ReferenceEventLoopSteadyStateIsAllocationFree)
     expectSteadyStateAllocationFree(EngineMode::Reference);
 }
 
-TEST(SimAlloc, LocalQueueSteadyStateIsAllocationFree)
-{
-    Simulator sim(EngineMode::Fast);
-    LocalEventQueue queue(sim, 2);
-
-    auto drive = [&](int events) {
-        int fired = 0;
-        struct Tick
-        {
-            int *fired;
-            void
-            operator()() const
-            {
-                ++*fired;
-            }
-        };
-        for (int i = 0; i < events; ++i)
-            queue.push(static_cast<std::size_t>(i % 2),
-                       sim.now() + 100 * (i + 1), Tick{&fired});
-        sim.run();
-        ASSERT_EQ(fired, events);
-    };
-
-    drive(1000); // warm-up: grows both stream buffers
-    CountingScope scope;
-    drive(1000);
-    EXPECT_EQ(scope.count(), 0u)
-        << "local-queue push/fire cycle allocated in steady state";
-}
-
 } // namespace
 } // namespace aitax::sim
 
@@ -251,7 +221,17 @@ TEST(SimAlloc, SteadyStateFramesAreAllocationFree)
     cpu.dspLoadProcesses = 1;
     cpu.cpuLoadProcesses = 1;
 
-    for (const Scenario &s : {gpu, hexagon, cpu}) {
+    // App mode chains interference arrivals over a horizon that grows
+    // with the run count.
+    Scenario app_nnapi = gpu;
+    app_nnapi.mode = app::HarnessMode::AndroidApp;
+    app_nnapi.framework = app::FrameworkKind::TfliteNnapi;
+    app_nnapi.dtype = tensor::DType::UInt8;
+
+    Scenario app_cpu = cpu;
+    app_cpu.mode = app::HarnessMode::AndroidApp;
+
+    for (const Scenario &s : {gpu, hexagon, cpu, app_nnapi, app_cpu}) {
         ASSERT_TRUE(scenarioValid(s)) << s.describe();
         // Warm run: process-wide caches, the arena's block and the
         // warm-up snapshot are in place afterwards.
